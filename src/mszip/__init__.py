@@ -7,14 +7,14 @@ sampled without replacement from the multiset and encoded in sampled order,
 and the decoder reverses both steps exactly.
 """
 
-from .ans import (AnsState, B, CodeTriple, ExactAnsState, L, decode_advance,
-                  decode_peek, deserialize, encode_op, fractional_bits,
-                  length_bits, serialize, state_new)
+from .ans import (AnsState, B, CodeTriple, L, decode_advance, decode_peek,
+                  deserialize, encode_op, length_bits, serialize, state_new)
 from .container import Container, codec_blob, codec_from_blob, crc32c, pack, unpack
 from .errors import (CapacityError, ContractError, FormatError, IngestError,
                      MszipError, NotFoundError)
-from .mscodec import (RateReport, decode_multiset, encode_multiset, info_content,
-                      permutation_bits, rate_report)
+from .mscodec import (RateReport, decode_multiset, encode_multiset,
+                      encode_sequence, info_content, permutation_bits,
+                      rate_report, sample_decode, sample_encode)
 from .multiset import FreqTree, Multiset, build_balanced
 from .nested import (NestedMultiset, PairCodec, Record, canonical_json,
                      decode_nested, encode_nested, ingest_json,

@@ -4,8 +4,11 @@ Synthetic runs draw a skewed source from a Dirichlet prior with concentration
 alpha_k = k over the alphabet, generate a multiset with an exact number of
 unique symbols, and measure rate and wall time for a full encode + decode.
 Timing covers tree build, sampling, and coding; data generation, codec
-construction, and I/O are excluded. Everything is seed-deterministic, so a
-repeated run reproduces every column except the time ones.
+construction, and I/O are excluded, and the garbage collector is kept out. A
+synthetic time is the median of three runs taken in three sweeps over the
+sizes, so that drift in machine speed moves the sizes alike. Everything is
+seed-deterministic, so a repeated run reproduces every column except the time
+ones.
 
 The fixed-unique-count generator works support-first: it picks the support of
 ``unique`` distinct symbols by weighted sampling without replacement (Gumbel
@@ -16,15 +19,18 @@ from the source restricted and renormalized to the support.
 from __future__ import annotations
 
 import csv
+import gc
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from statistics import median
 
 import numpy as np
 
 from .ans import length_bits, state_new
 from .errors import ContractError
-from .mscodec import decode_multiset, encode_multiset, info_content
+from .mscodec import encode_sequence, info_content, sample_decode, sample_encode
 from .multiset import FreqTree, Multiset, build_balanced
 from .nested import NestedMultiset, PairCodec, decode_nested, encode_nested, \
     ingest_json_records, nested_savings_bound, sequence_state
@@ -112,6 +118,33 @@ def _subseed(*parts) -> np.random.SeedSequence:
     return np.random.SeedSequence(list(parts))
 
 
+@contextmanager
+def _gc_paused():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _round_trip(m: Multiset, codec):
+    """Encode and decode ``m`` once; return the state, the encoder and decoder
+    trees, and the encode and decode seconds."""
+    dtree = FreqTree()
+    with _gc_paused():
+        t0 = time.perf_counter()
+        etree = build_balanced(m)
+        state = sample_encode(state_new(), etree, codec)
+        t1 = time.perf_counter()
+        sample_decode(state, m.total, codec, dtree)
+        out = dtree.to_multiset()
+        t2 = time.perf_counter()
+    if out != m:
+        raise RuntimeError("round-trip mismatch in benchmark")
+    return state, etree, dtree, t1 - t0, t2 - t1
+
+
 def synthetic_rows(cfg: BenchConfig) -> list[dict]:
     cfg.validate()
     rows = []
@@ -119,31 +152,18 @@ def synthetic_rows(cfg: BenchConfig) -> list[dict]:
         pmf = gen_dirichlet_source(a, _subseed(cfg.seed, a))
         precision = _precision_for(a)
         codec = QuantizedCategorical.from_weights(range(a), pmf, precision)
-        for size in cfg.sizes:
-            for rep in range(cfg.repetitions):
-                m = gen_fixed_unique_multiset(
-                    pmf, cfg.unique_symbols, size, _subseed(cfg.seed, a, size, rep))
-
-                t0 = time.perf_counter()
-                etree = build_balanced(m)
-                state = encode_multiset(m, codec, tree=etree)
-                encode_s = time.perf_counter() - t0
-
-                dtree = FreqTree()
-                t0 = time.perf_counter()
-                out = decode_multiset(state, size, codec, tree=dtree)
-                decode_s = time.perf_counter() - t0
-                if out != m:
-                    raise RuntimeError("round-trip mismatch in benchmark")
-
-                seq = state_new()
-                for sym in m.expand():
-                    seq = codec.encode(seq, sym)
+        for rep in range(cfg.repetitions):
+            ms = [gen_fixed_unique_multiset(pmf, cfg.unique_symbols, size,
+                                            _subseed(cfg.seed, a, size, rep))
+                  for size in cfg.sizes]
+            sweeps = [[_round_trip(m, codec) for m in ms] for _ in range(3)]
+            for m, runs in zip(ms, zip(*sweeps)):
+                state, etree, dtree, _, _ = runs[-1]
                 compressed = length_bits(state)
-                sequence = length_bits(seq)
+                sequence = length_bits(encode_sequence(m.expand(), codec))
                 rows.append({
                     "alphabet_size": a,
-                    "multiset_size": size,
+                    "multiset_size": m.total,
                     "unique_symbols": cfg.unique_symbols,
                     "repetition": rep,
                     "seed": cfg.seed,
@@ -152,8 +172,8 @@ def synthetic_rows(cfg: BenchConfig) -> list[dict]:
                     "info_bits": round(info_content(m, codec), 3),
                     "sequence_bits": sequence,
                     "savings_bits": sequence - compressed,
-                    "encode_s": round(encode_s, 6),
-                    "decode_s": round(decode_s, 6),
+                    "encode_s": round(median(r[3] for r in runs), 6),
+                    "decode_s": round(median(r[4] for r in runs), 6),
                     "encoder_visits": etree.visits,
                     "encoder_ops": etree.ops,
                     "decoder_visits": dtree.visits,
@@ -189,12 +209,13 @@ def json_rows(text, repetitions: int = 1, prefixes=None, max_len=None) -> list[d
         bound = nested_savings_bound(nm)
         sequence = length_bits(sequence_state(nm, pc))
         for rep in range(repetitions):
-            t0 = time.perf_counter()
-            state, sizes = encode_nested(nm, pc)
-            encode_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            back = decode_nested(state, list(reversed(sizes)), pc)
-            decode_s = time.perf_counter() - t0
+            with _gc_paused():
+                t0 = time.perf_counter()
+                state, sizes = encode_nested(nm, pc)
+                encode_s = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                back = decode_nested(state, list(reversed(sizes)), pc)
+                decode_s = time.perf_counter() - t0
             if back != nm:
                 raise RuntimeError("nested round-trip mismatch in benchmark")
             compressed = length_bits(state)

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import click
 
-from . import bench as bench_mod
 from .ans import deserialize, length_bits, serialize
 from .container import (CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED,
                         Container, codec_blob, codec_from_blob, pack, unpack)
@@ -60,16 +59,11 @@ def compress(inputs, output, codec_name, precision, max_len, nested):
             if max_len is None:
                 max_len = max((len(f) for r in records
                                for p in r.pairs.expand() for f in p), default=0)
-            pc = PairCodec(max_len)
-            state, sizes = encode_nested(nm, pc)
-            codec_id, blob = codec_blob(pc)
-            data = pack(Container(kind=KIND_NESTED, codec_id=codec_id,
-                                  codec_blob=blob, size=nm.outer_size,
-                                  inner_sizes=tuple(sizes),
-                                  state=serialize(state)))
-            output.write_bytes(data)
+            codec = PairCodec(max_len)
+            state, sizes = encode_nested(nm, codec)
+            kind, size = KIND_NESTED, nm.outer_size
             compressed = length_bits(state)
-            sequence = length_bits(sequence_state(nm, pc))
+            sequence = length_bits(sequence_state(nm, codec))
             bound = nested_savings_bound(nm)
             click.echo(f"records: {nm.outer_size} ({nm.pair_count} pairs)")
             click.echo(f"compressed_bits: {compressed}")
@@ -89,17 +83,18 @@ def compress(inputs, output, codec_name, precision, max_len, nested):
                 codec = QuantizedCategorical.from_weights(
                     alphabet, weights, 1 << precision)
             state = encode_multiset(m, codec)
-            codec_id, blob = codec_blob(codec)
-            data = pack(Container(kind=KIND_FLAT, codec_id=codec_id,
-                                  codec_blob=blob, size=m.total, inner_sizes=(),
-                                  state=serialize(state)))
-            output.write_bytes(data)
+            kind, size, sizes = KIND_FLAT, m.total, ()
             report = rate_report(m, codec)
             click.echo(f"symbols: {m.total} ({m.unique} unique)")
             click.echo(f"compressed_bits: {report.compressed_bits}")
             click.echo(f"info_content_bits: {report.info_content_bits:.1f}")
             click.echo(f"sequence_bits: {report.sequence_bits}")
             click.echo(f"savings_bits: {report.savings_bits}")
+        codec_id, blob = codec_blob(codec)
+        data = pack(Container(kind=kind, codec_id=codec_id, codec_blob=blob,
+                              size=size, inner_sizes=tuple(sizes),
+                              state=serialize(state)))
+        output.write_bytes(data)
         click.echo(f"container_bytes: {len(data)}")
     except MszipError as e:
         raise click.ClickException(str(e))
@@ -140,8 +135,6 @@ def decompress(container, outdir):
                         (outdir / f"{digest}.{k}.bin").write_bytes(payload)
                 written += cnt
             click.echo(f"wrote {written} files ({m.unique} unique)")
-    except UnicodeDecodeError:
-        raise click.ClickException("nested payload is not valid UTF-8 JSON")
     except MszipError as e:
         raise click.ClickException(str(e))
 
@@ -167,6 +160,14 @@ def info(container):
     click.echo("checksum: ok")
 
 
+def _bench():
+    try:
+        from . import bench  # needs numpy, which only the bench extra installs
+    except ModuleNotFoundError as e:
+        raise click.ClickException(f"{e}; pip install 'mszip[bench]'") from None
+    return bench
+
+
 @main.command("bench-synthetic")
 @click.option("--unique", type=int, default=512, show_default=True,
               help="Exact number of unique symbols per multiset.")
@@ -180,6 +181,7 @@ def info(container):
               help="Write CSV here instead of stdout.")
 def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
     """Rate and timing sweep over synthetic Dirichlet-skewed multisets."""
+    bench_mod = _bench()
     cfg = bench_mod.BenchConfig(unique_symbols=unique, sizes=sizes,
                                 alphabet_sizes=alphabets, seed=seed,
                                 repetitions=reps)
@@ -202,6 +204,7 @@ def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
               help="Write CSV here instead of stdout.")
 def bench_json(json_file, reps, prefixes, csv_path):
     """Nested-compression savings on growing prefixes of a JSON collection."""
+    bench_mod = _bench()
     try:
         rows = bench_mod.json_rows(json_file.read_bytes(), repetitions=reps,
                                    prefixes=prefixes)

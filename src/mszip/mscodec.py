@@ -18,29 +18,19 @@ ordering of the same symbols produces identical bits.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from .ans import L, AnsState, CodeTriple, decode_advance, decode_peek, encode_op, \
     length_bits, state_new
-from .errors import ContractError
+from .errors import ContractError, FormatError
 from .multiset import FreqTree, Multiset, build_balanced
-
-log = logging.getLogger(__name__)
 
 _LN2 = math.log(2)
 
 
-def encode_multiset(m: Multiset, codec, *, tree: FreqTree | None = None) -> AnsState:
-    """Encode ``m`` order-invariantly; every symbol must be codec-encodable.
-
-    ``tree`` may supply a pre-built frequency tree holding exactly the content
-    of ``m`` (it is drained in place); by default one is built here.
-    """
-    s = state_new()
-    if tree is None:
-        tree = build_balanced(m)
+def sample_encode(s: AnsState, tree: FreqTree, codec) -> AnsState:
+    """Drain ``tree`` onto ``s``: sample an occurrence, then encode its symbol."""
     while (n := tree.total) > 0:
         if s.head < L:
             raise ContractError(
@@ -53,21 +43,37 @@ def encode_multiset(m: Multiset, codec, *, tree: FreqTree | None = None) -> AnsS
     return s
 
 
-def decode_multiset(s: AnsState, size, codec, *, tree: FreqTree | None = None) -> Multiset:
-    """Rebuild the multiset of ``size`` symbols from a state made by
-    ``encode_multiset`` with the same codec."""
-    if tree is None:
-        tree = FreqTree()
+def sample_decode(s: AnsState, size, codec, tree: FreqTree) -> AnsState:
+    """Inverse of ``sample_encode``: decode ``size`` symbols into ``tree``."""
     for _ in range(size):
         s, sym = codec.decode(s)
         c, p = tree.insert_and_lookup(sym)
         s = encode_op(s, CodeTriple(c, p, tree.total))
-    if s != state_new():
-        log.warning(
-            "decode finished with a non-minimal residual state "
-            "(head=%#x, %d bits); input may not match the codec",
-            s.head, length_bits(s))
+    return s
+
+
+def encode_multiset(m: Multiset, codec) -> AnsState:
+    """Encode ``m`` order-invariantly; every symbol must be codec-encodable."""
+    return sample_encode(state_new(), build_balanced(m), codec)
+
+
+def decode_multiset(s: AnsState, size, codec) -> Multiset:
+    """Rebuild the multiset of ``size`` symbols from a state made by
+    ``encode_multiset`` with the same codec; a clean decode ends at the
+    minimal state, and any residue raises ``FormatError``."""
+    tree = FreqTree()
+    if sample_decode(s, size, codec, tree) != state_new():
+        raise FormatError("decode finished with a non-minimal residual state; "
+                          "the state does not match the count or the codec")
     return tree.to_multiset()
+
+
+def encode_sequence(symbols, codec) -> AnsState:
+    """Order-keeping baseline: encode ``symbols`` in order, no sampling."""
+    s = state_new()
+    for sym in symbols:
+        s = codec.encode(s, sym)
+    return s
 
 
 def permutation_bits(m: Multiset) -> float:
@@ -101,10 +107,7 @@ class RateReport:
 
 def rate_report(m: Multiset, codec) -> RateReport:
     """Measure multiset coding against keeping the canonical order."""
-    seq = state_new()
-    for sym in m.expand():
-        seq = codec.encode(seq, sym)
-    sequence_bits = length_bits(seq)
+    sequence_bits = length_bits(encode_sequence(m.expand(), codec))
     compressed_bits = length_bits(encode_multiset(m, codec))
     return RateReport(
         compressed_bits=compressed_bits,

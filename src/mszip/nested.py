@@ -18,17 +18,17 @@ UTF-8 string form.
 from __future__ import annotations
 
 import json
-import logging
 import math
+from dataclasses import dataclass
 
-from .ans import L, AnsState, CodeTriple, decode_advance, decode_peek, encode_op, \
-    state_new
-from .errors import ContractError, IngestError
+# encode_op and decode_advance are unused here; perfbench patches them by name.
+from .ans import AnsState, decode_advance, encode_op  # noqa: F401
+from .errors import ContractError, FormatError, IngestError
+from .mscodec import decode_multiset, encode_multiset, encode_sequence, \
+    sample_decode, sample_encode
 from .multiset import FreqTree, Multiset, build_balanced
 from .symbols import ByteStringCodec
 from .varint import encode_uvarint
-
-log = logging.getLogger(__name__)
 
 _LN2 = math.log(2)
 
@@ -134,58 +134,45 @@ class PairCodec:
         return self.strings.bits(pair[0]) + self.strings.bits(pair[1])
 
 
+@dataclass
+class _RecordCodec:
+    """A record coded as the sampled multiset of its pairs. The pair counts go
+    to the header: encode appends them to ``sizes``, decode takes them in turn."""
+
+    pair_codec: PairCodec
+    sizes: object
+
+    def encode(self, s, rec):
+        self.sizes.append(rec.pairs.total)
+        return sample_encode(s, build_balanced(rec.pairs), self.pair_codec)
+
+    def decode(self, s):
+        tree = FreqTree()
+        s = sample_decode(s, next(self.sizes), self.pair_codec, tree)
+        return s, Record(tree.to_multiset())
+
+
 def encode_nested(nm: NestedMultiset, pair_codec) -> tuple[AnsState, list[int]]:
     """Depth-first nested encode.
 
     Returns the final state and the inner sizes in the order the records were
     depleted; decode needs those sizes (reversed) to rebuild the structure.
     """
-    s = state_new()
-    outer = build_balanced(nm.records)
     sizes = []
-    while (n := outer.total) > 0:
-        if s.head < L:
-            raise ContractError(
-                "coder head left its canonical range before a sampling step")
-        i = decode_peek(s, n)
-        rec, c, p = outer.lookup_and_remove(i)
-        s = decode_advance(s, CodeTriple(c, p, n))
-        inner = build_balanced(rec.pairs)
-        sizes.append(inner.total)
-        while (ni := inner.total) > 0:
-            j = decode_peek(s, ni)
-            pair, ci, pi = inner.lookup_and_remove(j)
-            s = decode_advance(s, CodeTriple(ci, pi, ni))
-            s = pair_codec.encode(s, pair)
-    return s, sizes
+    return encode_multiset(nm.records, _RecordCodec(pair_codec, sizes)), sizes
 
 
 def decode_nested(s: AnsState, inner_sizes, pair_codec) -> NestedMultiset:
     """Inverse of ``encode_nested``; ``inner_sizes`` must be in decode order
     (the reverse of the sizes list the encoder produced)."""
-    outer = FreqTree()
-    for size in inner_sizes:
-        inner = FreqTree()
-        for _ in range(size):
-            s, pair = pair_codec.decode(s)
-            c, p = inner.insert_and_lookup(pair)
-            s = encode_op(s, CodeTriple(c, p, inner.total))
-        rec = Record(inner.to_multiset())
-        c, p = outer.insert_and_lookup(rec)
-        s = encode_op(s, CodeTriple(c, p, outer.total))
-    if s != state_new():
-        log.warning("nested decode finished with a non-minimal residual state")
-    return NestedMultiset(outer.to_multiset())
+    codec = _RecordCodec(pair_codec, iter(inner_sizes))
+    return NestedMultiset(decode_multiset(s, len(inner_sizes), codec))
 
 
 def sequence_state(nm: NestedMultiset, pair_codec) -> AnsState:
     """Order-keeping baseline: encode every pair of every record, no sampling."""
-    s = state_new()
-    for rec, cnt in nm.records.pairs:
-        for _ in range(cnt):
-            for pair in rec.pairs.expand():
-                s = pair_codec.encode(s, pair)
-    return s
+    pairs = (pair for rec in nm.records.expand() for pair in rec.pairs.expand())
+    return encode_sequence(pairs, pair_codec)
 
 
 def nested_savings_bound(nm: NestedMultiset) -> float:
@@ -260,9 +247,12 @@ def ingest_json(text) -> NestedMultiset:
 def canonical_json(nm: NestedMultiset) -> str:
     """Serialize back to JSON text in canonical order, all values as strings."""
     recs = []
-    for rec, cnt in nm.records.pairs:
-        fields = ",".join(
-            f"{json.dumps(k.decode('utf-8'))}:{json.dumps(v.decode('utf-8'))}"
-            for k, v in rec.pairs.expand())
-        recs.extend(["{" + fields + "}"] * cnt)
+    try:
+        for rec, cnt in nm.records.pairs:
+            fields = ",".join(
+                f"{json.dumps(k.decode('utf-8'))}:{json.dumps(v.decode('utf-8'))}"
+                for k, v in rec.pairs.expand())
+            recs.extend(["{" + fields + "}"] * cnt)
+    except UnicodeDecodeError:
+        raise FormatError("nested payload is not valid UTF-8 JSON") from None
     return "[" + ",".join(recs) + "]"

@@ -1,8 +1,12 @@
 """Shared test utilities: independent oracles and data builders."""
 
+import math
 import random
+from dataclasses import dataclass
+from operator import index as _int
 
-from mszip import CodeTriple, Multiset
+from mszip import CodeTriple, ContractError, L, Multiset
+from mszip.ans import WORD_BITS, _checked
 
 
 def linear_forward(pairs, sym):
@@ -52,3 +56,45 @@ def random_multiset(rng: random.Random, max_total=256, alphabet=1 << 16) -> Mult
     else:  # single symbol
         syms = [rng.randrange(alphabet)] * total
     return Multiset.from_iterable(syms)
+
+
+def fractional_bits(s) -> float:
+    """Smooth state length, 32 * words + log2(head); for rate measurements."""
+    k = 0
+    w = s.words
+    while w:
+        k += 1
+        w = w[1]
+    return WORD_BITS * k + math.log2(s.head)
+
+
+@dataclass(frozen=True)
+class ExactAnsState:
+    """Reference coder on one unbounded natural number, no renormalization.
+
+    Slow but exactly matches the coding equations; the test oracle for the
+    streaming implementation.
+    """
+
+    value: int = L
+
+    def encode_op(self, t) -> "ExactAnsState":
+        c, p, n = _checked(t)
+        v = self.value
+        return ExactAnsState(n * (v // p) + c + v % p)
+
+    def decode_peek(self, n) -> int:
+        n = _int(n)
+        if n < 1 or n > L:
+            raise ContractError(f"precision {n} outside [1, {L}]")
+        return self.value % n
+
+    def decode_advance(self, t) -> "ExactAnsState":
+        c, p, n = _checked(t)
+        i = self.value % n
+        if not c <= i < c + p:
+            raise ContractError(f"peek index {i} outside [{c}, {c + p})")
+        return ExactAnsState(p * (self.value // n) + i - c)
+
+    def length_bits(self) -> int:
+        return self.value.bit_length()

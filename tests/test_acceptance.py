@@ -11,14 +11,14 @@ import time
 
 import numpy as np
 
-from helpers import linear_forward, linear_reverse, random_multiset
+from helpers import fractional_bits, linear_forward, linear_reverse, random_multiset
 from mszip import (B, ByteStringCodec, CodeTriple, Container, FreqTree, L,
                    Multiset, NestedMultiset, PairCodec, QuantizedCategorical,
                    Record, UniformCodec, build_balanced, codec_blob,
                    decode_advance, decode_multiset, decode_nested, decode_peek,
-                   encode_multiset, encode_nested, fractional_bits,
-                   info_content, length_bits, nested_savings_bound, pack,
-                   sequence_state, serialize, state_new)
+                   encode_multiset, encode_nested, info_content, length_bits,
+                   nested_savings_bound, pack, sequence_state, serialize,
+                   state_new)
 from mszip.bench import BenchConfig, gen_dirichlet_source, synthetic_rows
 from mszip.container import KIND_FLAT
 from test_ans import run_stack_discipline_trial

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_triple
-from mszip import (AnsState, B, CodeTriple, ContractError, ExactAnsState,
-                   FormatError, L, decode_advance, decode_peek, deserialize,
-                   encode_op, fractional_bits, length_bits, serialize, state_new)
+from helpers import ExactAnsState, fractional_bits, random_triple
+from mszip import (AnsState, B, CodeTriple, ContractError, FormatError, L,
+                   decode_advance, decode_peek, deserialize, encode_op,
+                   length_bits, serialize, state_new)
 
 
 def triples():

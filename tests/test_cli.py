@@ -1,10 +1,16 @@
 """End-to-end CLI tests through click's runner."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mszip
 from mszip import (ByteStringCodec, Container, Multiset, codec_blob,
                    encode_multiset, pack, serialize)
 from mszip.cli import main
@@ -154,3 +160,58 @@ class TestBenchCommands:
         res = runner.invoke(main, ["bench-synthetic", "--unique", "64",
                                    "--sizes", "32", "--alphabets", "128"])
         assert res.exit_code != 0
+
+
+GOLDEN_FLAT = {
+    "bytes": ([b"alpha", b"beta", b"beta", b"", b"\x00\xff" * 3], [],
+              "daf602a8b617a45a02b7aa5340e1569321d30b7ae4db8d8a55441e9f90f0eb44"),
+    "categorical": ([b"x", b"y", b"x", b"x", b"z"],
+                    ["--codec", "categorical", "--precision", "8"],
+                    "23b951cddf245e1d1ea34875749708984ffcd30f413aa09d9d5f79b5fe5eb998"),
+}
+GOLDEN_NESTED = (
+    b'[{"a": 1, "b": "x"}, {"b": "x", "a": 1}, {"id": 7, "ok": true, "v": null}, '
+    b'{"k": "v", "k": "v"}, {}]',
+    "0ef5a5e895e6d007f21cf88d5f76e3bfab00affd52b08b1d68882dd9efd944a5")
+
+
+class TestGoldenBytes:
+    """Pinned container digests: any change to the bits written fails here."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FLAT))
+    def test_flat(self, runner, tmp_path, name):
+        contents, opts, digest = GOLDEN_FLAT[name]
+        paths = make_inputs(tmp_path, contents)
+        box = tmp_path / "out.msz"
+        res = runner.invoke(main, ["compress", *map(str, paths), "-o", str(box), *opts])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(box.read_bytes()).hexdigest() == digest
+
+    def test_nested(self, runner, tmp_path):
+        doc, digest = GOLDEN_NESTED
+        src = tmp_path / "records.json"
+        src.write_bytes(doc)
+        box = tmp_path / "out.msz"
+        res = runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(box.read_bytes()).hexdigest() == digest
+
+
+class TestNumpyIsOptional:
+    def test_cli_import_leaves_numpy_out(self):
+        src = Path(mszip.__file__).resolve().parents[1]
+        code = "import sys, mszip.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("args", [["bench-synthetic"], ["bench-json", __file__]])
+    def test_bench_without_numpy_names_the_extra(self, runner, monkeypatch, args):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.delitem(sys.modules, "mszip.bench", raising=False)
+        monkeypatch.delattr(mszip, "bench", raising=False)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert "mszip[bench]" in res.output

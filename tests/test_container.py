@@ -1,11 +1,15 @@
 """Container format tests: checksum vectors, round trips, corruption."""
 
+import dataclasses
+import random
+
 import pytest
 
-from mszip import (ByteStringCodec, Container, FormatError, Multiset, PairCodec,
-                   QuantizedCategorical, codec_blob, codec_from_blob, crc32c,
-                   decode_multiset, deserialize, encode_multiset, pack, serialize,
-                   unpack)
+from mszip import (ByteStringCodec, Container, FormatError, Multiset, MszipError,
+                   NestedMultiset, PairCodec, QuantizedCategorical, Record,
+                   codec_blob, codec_from_blob, crc32c, decode_multiset,
+                   decode_nested, deserialize, encode_multiset, encode_nested,
+                   pack, serialize, unpack)
 from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED
 
 
@@ -31,6 +35,15 @@ def flat_container(payloads=(b"one", b"two", b"two"), max_len=64):
     data = pack(Container(kind=KIND_FLAT, codec_id=cid, codec_blob=blob,
                           size=m.total, inner_sizes=(), state=serialize(state)))
     return m, codec, data
+
+
+def nested_container(nm, max_len=15):
+    pc = PairCodec(max_len)
+    state, sizes = encode_nested(nm, pc)
+    cid, blob = codec_blob(pc)
+    return pack(Container(kind=KIND_NESTED, codec_id=cid, codec_blob=blob,
+                          size=nm.outer_size, inner_sizes=tuple(sizes),
+                          state=serialize(state)))
 
 
 class TestPackUnpack:
@@ -107,3 +120,45 @@ class TestCorruption:
     def test_unknown_codec_id(self):
         with pytest.raises(FormatError, match="codec"):
             codec_from_blob(KIND_FLAT, 77, b"")
+
+
+class TestStrictDecode:
+    """Every single-bit flip of the state, with the CRC recomputed, either
+    raises an MszipError or decodes to a value that re-encodes to the very
+    same container: a damaged state never decodes to a wrong multiset."""
+
+    @staticmethod
+    def flip_every_bit(data, decode, reencode):
+        c = unpack(data)
+        codec = codec_from_blob(c.kind, c.codec_id, c.codec_blob)
+        errors = 0
+        for bit in range(8 * len(c.state)):
+            state = bytearray(c.state)
+            state[bit // 8] ^= 1 << (bit % 8)
+            forged = pack(dataclasses.replace(c, state=bytes(state)))
+            try:
+                back = decode(deserialize(bytes(state)), c, codec)
+            except MszipError:
+                errors += 1
+                continue
+            assert reencode(back) == forged, f"bit {bit}"
+        assert errors > 0
+
+    def test_flat(self):
+        rng = random.Random(20261018)
+        payloads = [rng.randbytes(rng.randrange(6)) for _ in range(10)]
+        payloads += payloads[:3]
+        _, _, data = flat_container(payloads, max_len=7)
+        self.flip_every_bit(
+            data, lambda s, c, codec: decode_multiset(s, c.size, codec),
+            lambda m: flat_container(m.expand(), max_len=7)[2])
+
+    def test_nested(self):
+        rng = random.Random(20261018)
+        records = [Record([(rng.choice([b"a", b"b", b"id"]), rng.randbytes(2))
+                           for _ in range(rng.randrange(4))]) for _ in range(6)]
+        data = nested_container(NestedMultiset.from_records(records + records[:2]))
+        self.flip_every_bit(
+            data, lambda s, c, codec: decode_nested(
+                s, list(reversed(c.inner_sizes)), codec),
+            nested_container)

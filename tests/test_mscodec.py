@@ -1,17 +1,17 @@
 """Multiset codec tests: round trips, order invariance, rate identities."""
 
 import itertools
-import logging
 import math
 import random
 
 import pytest
 
 from helpers import random_multiset
-from mszip import (CodeTriple, Multiset, QuantizedCategorical, UniformCodec,
-                   build_balanced, decode_advance, decode_multiset, decode_peek,
-                   encode_multiset, encode_op, info_content, length_bits,
-                   permutation_bits, rate_report, serialize, state_new)
+from mszip import (CodeTriple, FormatError, Multiset, QuantizedCategorical,
+                   UniformCodec, build_balanced, decode_advance, decode_multiset,
+                   decode_peek, encode_multiset, encode_op, info_content,
+                   length_bits, permutation_bits, rate_report, serialize,
+                   state_new)
 
 ABC = QuantizedCategorical.from_weights(["a", "b", "c"], [1, 1, 1], 1 << 16)
 
@@ -80,20 +80,17 @@ class TestSamplingInvertibility:
 
 
 class TestResidualCheck:
-    def test_clean_decode_is_silent_and_minimal(self, caplog):
+    def test_clean_decode_is_silent_and_minimal(self):
         m = Multiset.from_iterable("aabbbc")
         state = encode_multiset(m, ABC)
-        with caplog.at_level(logging.WARNING, logger="mszip.mscodec"):
-            decode_multiset(state, m.total, ABC)
-        assert not caplog.records
+        assert decode_multiset(state, m.total, ABC) == m
 
-    def test_mismatched_codec_warns(self, caplog):
+    def test_mismatched_codec_raises(self):
         m = Multiset.from_iterable([5, 5, 9, 12])
         state = encode_multiset(m, UniformCodec(16))
         other = UniformCodec(32)
-        with caplog.at_level(logging.WARNING, logger="mszip.mscodec"):
+        with pytest.raises(FormatError, match="residual"):
             decode_multiset(state, m.total, other)
-        assert any("residual" in r.message for r in caplog.records)
 
 
 class TestInformationContent:

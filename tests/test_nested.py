@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from mszip import (ContractError, IngestError, Multiset, NestedMultiset,
-                   PairCodec, Record, canonical_json, decode_nested,
+from mszip import (ContractError, FormatError, IngestError, Multiset,
+                   NestedMultiset, PairCodec, Record, canonical_json, decode_nested,
                    encode_multiset, encode_nested, ingest_json,
                    ingest_json_records, length_bits, nested_savings_bound,
                    permutation_bits, sequence_state, state_new)
@@ -192,3 +192,8 @@ class TestCanonicalJson:
 
     def test_empty(self):
         assert canonical_json(NestedMultiset.from_records([])) == "[]"
+
+    def test_invalid_utf8_is_a_format_error(self):
+        nm = NestedMultiset.from_records([Record([(b"k", b"\xff")])])
+        with pytest.raises(FormatError, match="UTF-8"):
+            canonical_json(nm)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fractional_bits
 from mszip import (ByteStringCodec, CapacityError, ContractError, NotFoundError,
-                   QuantizedCategorical, UniformCodec, fractional_bits,
-                   quantize_pmf, state_new)
+                   QuantizedCategorical, UniformCodec, quantize_pmf, state_new)
 
 
 class TestQuantizePmf:
