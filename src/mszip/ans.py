@@ -26,6 +26,8 @@ shows up only as a small one-time overhead in the final length.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from operator import index as _int
 from typing import NamedTuple
 
@@ -102,9 +104,19 @@ def _checked(t) -> tuple[int, int, int]:
     return c, p, n
 
 
+# encode_op and decode_advance run once per coded symbol or byte, so they
+# check plain-int triples inline and leave every other triple (numpy ints,
+# bools, floats, bad ranges) to ``_checked``; they also build the result
+# with ``tuple.__new__``, which skips the NamedTuple constructor's frame.
+_new_state = tuple.__new__
+
+
 def encode_op(s: AnsState, t) -> AnsState:
     """Fold the interval ``t`` into the state; adds ~log2(n/p) bits."""
-    c, p, n = _checked(t)
+    c, p, n = t
+    if not (type(c) is type(p) is type(n) is int
+            and 0 <= c and 0 < p and c + p <= n <= L):
+        c, p, n = _checked(t)
     head, words = s
     limit = (L // n) * B * p
     while head >= limit:
@@ -113,7 +125,7 @@ def encode_op(s: AnsState, t) -> AnsState:
         if w or words:
             words = (w, words)
         # else: a zero word pushed onto the empty stack rejoins the pool
-    return AnsState(n * (head // p) + c + head % p, words)
+    return _new_state(AnsState, (n * (head // p) + c + head % p, words))
 
 
 def decode_peek(s: AnsState, n) -> int:
@@ -129,7 +141,10 @@ def decode_advance(s: AnsState, t) -> AnsState:
 
     Requires decode_peek(s, t.n) to lie in [t.c, t.c + t.p).
     """
-    c, p, n = _checked(t)
+    c, p, n = t
+    if not (type(c) is type(p) is type(n) is int
+            and 0 <= c and 0 < p and c + p <= n <= L):
+        c, p, n = _checked(t)
     head, words = s
     i = head % n
     if not c <= i < c + p:
@@ -143,21 +158,20 @@ def decode_advance(s: AnsState, t) -> AnsState:
             head <<= WORD_BITS  # synthesized zero word from the pool
         else:
             raise ContractError("cannot refill an exhausted state")
-    return AnsState(head, words)
+    return _new_state(AnsState, (head, words))
 
 
 def serialize(s: AnsState) -> bytes:
     """Flatten to bytes: words bottom to top (32-bit BE), then 64-bit BE head."""
-    stack = []
+    stack = array("I")
     w = s.words
     while w:
         stack.append(w[0])
         w = w[1]
-    out = bytearray()
-    for word in reversed(stack):
-        out += word.to_bytes(4, "big")
-    out += s.head.to_bytes(8, "big")
-    return bytes(out)
+    stack.reverse()
+    if sys.byteorder == "little":
+        stack.byteswap()
+    return stack.tobytes() + s.head.to_bytes(8, "big")
 
 
 def deserialize(data: bytes) -> AnsState:
@@ -165,9 +179,12 @@ def deserialize(data: bytes) -> AnsState:
     if len(data) < 8 or len(data) % 4:
         raise FormatError(f"state must be 8 + 4k bytes, got {len(data)}")
     head = int.from_bytes(data[-8:], "big")
+    stack = array("I")
+    stack.frombytes(data[:-8])
+    if sys.byteorder == "little":
+        stack.byteswap()
     words: tuple = ()
-    for off in range(0, len(data) - 8, 4):
-        w = int.from_bytes(data[off : off + 4], "big")
+    for w in stack:
         if w or words:
             words = (w, words)
     return AnsState(head, words)

@@ -164,6 +164,10 @@ class UniformCodec:
         return math.log2(self.size)
 
 
+# The code triple of each byte under the uniform byte model.
+_BYTE_TRIPLES = tuple(CodeTriple(b, 1, 256) for b in range(256))
+
+
 class ByteStringCodec:
     """Variable-length byte strings under a uniform byte model.
 
@@ -172,9 +176,12 @@ class ByteStringCodec:
     rounded up to ``2**k - 1`` so both codes keep the coder head canonical;
     the length code then costs exactly k = log2(max_len + 1) bits per payload,
     which is the price of making concatenated payloads self-delimiting.
+
+    Each byte is one ``encode_op``/``decode_advance`` call on its triple from
+    ``_BYTE_TRIPLES``, with no codec frame in between.
     """
 
-    __slots__ = ("max_len", "_len_code", "_byte_code")
+    __slots__ = ("max_len", "_len_code")
 
     def __init__(self, max_len=255):
         max_len = _int(max_len)
@@ -182,23 +189,22 @@ class ByteStringCodec:
             raise ContractError(f"max_len must be >= 0, got {max_len}")
         self.max_len = (1 << max_len.bit_length()) - 1
         self._len_code = UniformCodec(self.max_len + 1)
-        self._byte_code = UniformCodec(256)
 
     def encode(self, state, payload: bytes):
         if len(payload) > self.max_len:
             raise CapacityError(
                 f"payload of {len(payload)} bytes exceeds max_len {self.max_len}")
-        benc = self._byte_code.encode
-        for b in reversed(payload):
-            state = benc(state, b)
+        # bytes() keeps a sequence of ints from indexing the table out of range
+        for b in reversed(bytes(payload)):
+            state = encode_op(state, _BYTE_TRIPLES[b])
         return self._len_code.encode(state, len(payload))
 
     def decode(self, state):
         state, n = self._len_code.decode(state)
-        bdec = self._byte_code.decode
         out = bytearray()
         for _ in range(n):
-            state, b = bdec(state)
+            b = state[0] & 0xFF  # the peeked index under precision 256
+            state = decode_advance(state, _BYTE_TRIPLES[b])
             out.append(b)
         return state, bytes(out)
 

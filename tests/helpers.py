@@ -5,7 +5,7 @@ import random
 from dataclasses import dataclass
 from operator import index as _int
 
-from mszip import CodeTriple, ContractError, L, Multiset
+from mszip import CodeTriple, ContractError, L, Multiset, UniformCodec
 from mszip.ans import WORD_BITS, _checked
 
 
@@ -98,3 +98,24 @@ class ExactAnsState:
 
     def length_bits(self) -> int:
         return self.value.bit_length()
+
+
+def byte_string_encode_chain(codec, state, payload):
+    """``ByteStringCodec.encode`` as a chain of codec calls: one
+    ``UniformCodec(256)`` encode per byte, last byte first, then the length
+    under ``UniformCodec(max_len + 1)``. The oracle for the byte codec."""
+    byte_code = UniformCodec(256)
+    for b in reversed(payload):
+        state = byte_code.encode(state, b)
+    return UniformCodec(codec.max_len + 1).encode(state, len(payload))
+
+
+def byte_string_decode_chain(codec, state):
+    """Inverse of ``byte_string_encode_chain``."""
+    state, n = UniformCodec(codec.max_len + 1).decode(state)
+    byte_code = UniformCodec(256)
+    out = bytearray()
+    for _ in range(n):
+        state, b = byte_code.decode(state)
+        out.append(b)
+    return state, bytes(out)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +126,41 @@ class TestTripleValidation:
         # fresh head peeks 0 under any n, so [1, 2) cannot match
         with pytest.raises(ContractError):
             decode_advance(state_new(), CodeTriple(1, 1, 4))
+
+    # encode_op/decode_advance check plain-int triples inline and hand every
+    # other triple to _checked; both paths must agree.
+
+    @pytest.mark.parametrize("t", [(0, 0, 4), (3, 2, 4), (0, 1, L + 1), (-1, 1, 4),
+                                   (0, 1, 0), (0, -1, 4)])
+    @pytest.mark.parametrize("op", [encode_op, decode_advance])
+    def test_out_of_range_rejected_by_both_ops(self, op, t):
+        s = encode_op(state_new(), CodeTriple(5, 3, 16))
+        with pytest.raises(ContractError):
+            op(s, CodeTriple(*t))
+
+    @pytest.mark.parametrize("convert", [np.int64, np.uint32, np.int32, int])
+    def test_numpy_int_triples_match_plain_ints(self, convert):
+        s = state_new()
+        for t in [(5, 3, 16), (0, 1, 1 << 20), (7, 1, 1 << 30), (2, 9, 12)]:
+            want = encode_op(s, t)
+            got = encode_op(s, tuple(map(convert, t)))
+            assert got == want and type(got) is AnsState
+            assert type(got.head) is int
+            back = decode_advance(got, tuple(map(convert, t)))
+            assert back == s and type(back.head) is int
+            s = want
+
+    def test_bool_triples_match_plain_ints(self):
+        s = encode_op(state_new(), (1, 1, 2))
+        assert encode_op(s, (False, True, 2)) == encode_op(s, (0, 1, 2))
+        assert encode_op(s, (False, True, True)) == encode_op(s, (0, 1, 1))
+        assert decode_advance(s, (True, True, 2)) == decode_advance(s, (1, 1, 2))
+
+    @pytest.mark.parametrize("t", [(0.0, 1, 4), (0, 1.0, 4), (0, 1, 4.0)])
+    @pytest.mark.parametrize("op", [encode_op, decode_advance])
+    def test_float_triples_raise_type_error(self, op, t):
+        with pytest.raises(TypeError):
+            op(state_new(), t)
 
 
 class TestInversePair:

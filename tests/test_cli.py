@@ -168,11 +168,20 @@ GOLDEN_FLAT = {
     "categorical": ([b"x", b"y", b"x", b"x", b"z"],
                     ["--codec", "categorical", "--precision", "8"],
                     "23b951cddf245e1d1ea34875749708984ffcd30f413aa09d9d5f79b5fe5eb998"),
+    # Every byte value, a 1 KiB payload, an empty one and one of exactly
+    # max_len (2047) bytes: pins the stack words the byte code spills.
+    "spill": ([bytes(range(256)), bytes((37 * i + 11) % 256 for i in range(1024)),
+               b"", bytes((i * i + 3 * i) % 251 for i in range(2047))], [],
+              "944efb2330d2e714fe45e21f4287a3d11e33425d320d2ced6b87b4612f06d655"),
 }
 GOLDEN_NESTED = (
     b'[{"a": 1, "b": "x"}, {"b": "x", "a": 1}, {"id": 7, "ok": true, "v": null}, '
     b'{"k": "v", "k": "v"}, {}]',
     "0ef5a5e895e6d007f21cf88d5f76e3bfab00affd52b08b1d68882dd9efd944a5")
+GOLDEN_NESTED_HEX = (
+    json.dumps([{"sha": hashlib.sha256(str(i % 9).encode()).hexdigest()[:24],
+                 "n": i % 4} for i in range(12)]).encode(),
+    "4cb687386a4b70189640228c1031ddb854261e05ca10506fc8f90c60c4734242")
 
 
 class TestGoldenBytes:
@@ -187,14 +196,22 @@ class TestGoldenBytes:
         assert res.exit_code == 0, res.output
         assert hashlib.sha256(box.read_bytes()).hexdigest() == digest
 
-    def test_nested(self, runner, tmp_path):
-        doc, digest = GOLDEN_NESTED
+    @staticmethod
+    def nested_digest(runner, tmp_path, doc):
         src = tmp_path / "records.json"
         src.write_bytes(doc)
         box = tmp_path / "out.msz"
         res = runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
         assert res.exit_code == 0, res.output
-        assert hashlib.sha256(box.read_bytes()).hexdigest() == digest
+        return hashlib.sha256(box.read_bytes()).hexdigest()
+
+    def test_nested(self, runner, tmp_path):
+        doc, digest = GOLDEN_NESTED
+        assert self.nested_digest(runner, tmp_path, doc) == digest
+
+    def test_nested_hex_values(self, runner, tmp_path):
+        doc, digest = GOLDEN_NESTED_HEX
+        assert self.nested_digest(runner, tmp_path, doc) == digest
 
 
 class TestNumpyIsOptional:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fractional_bits
-from mszip import (ByteStringCodec, CapacityError, ContractError, NotFoundError,
-                   QuantizedCategorical, UniformCodec, quantize_pmf, state_new)
+from helpers import byte_string_decode_chain, byte_string_encode_chain, fractional_bits
+from mszip import (ByteStringCodec, CapacityError, CodeTriple, ContractError,
+                   NotFoundError, PairCodec, QuantizedCategorical, UniformCodec, ans,
+                   quantize_pmf, state_new, symbols)
 
 
 class TestQuantizePmf:
@@ -178,6 +179,16 @@ class TestByteStringCodec:
         with pytest.raises(CapacityError):
             ByteStringCodec(3).encode(state_new(), b"early")
 
+    @pytest.mark.parametrize("payload", [[256], [-1], [1, -3], "ab"])
+    def test_items_outside_a_byte_rejected(self, payload):
+        with pytest.raises((ValueError, KeyError, TypeError)):
+            ByteStringCodec(3).encode(state_new(), payload)
+
+    def test_int_sequence_codes_like_bytes(self):
+        codec = ByteStringCodec(3)
+        assert codec.encode(state_new(), [1, 2, 255]) == \
+            codec.encode(state_new(), b"\x01\x02\xff")
+
     @given(st.lists(st.binary(max_size=64), max_size=12))
     def test_roundtrip_property(self, payloads):
         codec = ByteStringCodec(64)
@@ -190,3 +201,87 @@ class TestByteStringCodec:
             out.append(got)
         assert out == list(reversed(payloads))
         assert s == state_new()
+
+    @settings(max_examples=200)
+    @given(st.randoms(use_true_random=False),
+           st.lists(st.binary(max_size=300), max_size=8))
+    def test_encode_and_decode_match_uniform_codec_chain(self, rng, payloads):
+        codec = ByteStringCodec(300)
+        # Preloaded content makes the head spill and refill stack words.
+        s = state_new()
+        for _ in range(rng.randrange(40)):
+            s = UniformCodec(1 << 31).encode(s, rng.randrange(1 << 31))
+        for p in payloads:
+            want = byte_string_encode_chain(codec, s, p)
+            s = codec.encode(s, p)
+            assert s == want
+        for p in reversed(payloads):
+            want = byte_string_decode_chain(codec, s)
+            s, got = codec.decode(s)
+            assert (s, got) == want
+            assert got == p
+
+
+def _recorder(fn, ops):
+    def wrapper(s, t):
+        ops.append((fn, tuple(t)))
+        return fn(s, t)
+    return wrapper
+
+
+def _replay(s, ops):
+    for fn, t in ops:
+        s = fn(s, CodeTriple(*t))
+    return s
+
+
+class TestTracedOps:
+    """Every state change inside a codec is a call to the names
+    ``mszip.symbols.encode_op``/``decode_advance``. A tracer that patches those
+    names sees every op; replaying the recorded ops from a call's input state
+    must give the call's output state."""
+
+    CASES = [
+        (ByteStringCodec(2047), [b"", b"\x00", bytes(range(256)), b"\xff" * 1024,
+                                 bytes(2047)]),
+        (PairCodec(64), [(b"k", b"v"), (b"", b""), (b"id", bytes(range(64)))]),
+        (UniformCodec(1000), [0, 999, 500, 1]),
+        (QuantizedCategorical([3, 5, 9], [1, 6, 1]), [3, 5, 9, 5, 5]),
+    ]
+
+    @pytest.mark.parametrize("codec,values", CASES,
+                             ids=[type(c).__name__ for c, _ in CASES])
+    def test_recorded_ops_replay_every_call(self, monkeypatch, codec, values):
+        ops = []
+        monkeypatch.setattr(symbols, "encode_op", _recorder(ans.encode_op, ops))
+        monkeypatch.setattr(symbols, "decode_advance",
+                            _recorder(ans.decode_advance, ops))
+        s = state_new()
+        for v in values:
+            ops.clear()
+            out = codec.encode(s, v)
+            assert ops and {fn for fn, _ in ops} == {ans.encode_op}
+            assert _replay(s, ops) == out
+            s = out
+        for v in reversed(values):
+            ops.clear()
+            out, got = codec.decode(s)
+            assert got == v
+            assert ops and {fn for fn, _ in ops} == {ans.decode_advance}
+            assert _replay(s, ops) == out
+            s = out
+        assert s == state_new()
+
+    def test_byte_codec_ops_are_one_per_byte_then_the_length(self, monkeypatch):
+        ops = []
+        monkeypatch.setattr(symbols, "encode_op", _recorder(ans.encode_op, ops))
+        monkeypatch.setattr(symbols, "decode_advance",
+                            _recorder(ans.decode_advance, ops))
+        codec = ByteStringCodec(100)
+        payload = bytes([7, 0, 255, 7])
+        s = codec.encode(state_new(), payload)
+        want = [(b, 1, 256) for b in reversed(payload)] + [(4, 1, 128)]
+        assert [t for _, t in ops] == want
+        ops.clear()
+        codec.decode(s)
+        assert [t for _, t in ops] == want[::-1]
