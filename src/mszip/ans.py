@@ -4,9 +4,13 @@ The coder state is a pair ``(head, words)``: a 64-bit working integer plus a
 stack of 32-bit overflow words. ``encode_op`` mixes a symbol interval into the
 head, spilling its low word onto the stack when the head would overflow, and
 ``decode_advance`` is the exact inverse, refilling the head from the stack when
-it would drop below ``L``. At operation boundaries the head stays inside
-``[N*(L//N), B*L)``, which is exactly the canonical range ``[L, B*L)`` whenever
-the precision ``N`` divides ``L`` (every power of two up to ``2**31`` does).
+it would drop below ``L``. At every operation boundary the head lies in the
+canonical range ``[L, B*L)``. When the precision ``N`` does not divide ``L``,
+encoding can land the head in ``[N*(L//N), L)``, so ``encode_op`` then pulls
+one word back into it; ``decode_peek`` and ``decode_advance`` undo that by
+first spilling one word from a head at or above ``N*(L//N)*B``. Since
+``N*(L//N) > L/2`` for every ``N``, heads below ``B*L/2`` skip that check, and
+power-of-two precisions never take either branch.
 
 Unlike the usual power-of-two-only formulation, the precision ``N`` may be any
 integer in ``[1, L]`` and may change per operation. That is what lets a single
@@ -38,6 +42,7 @@ WORD_BITS = 32
 B = 1 << WORD_BITS            # base of the word stack
 L = 1 << (HEAD_BITS - WORD_BITS - 1)  # lower renormalization bound, 2**31
 _WORD_MASK = B - 1
+_HALF = B * L // 2  # below this no decode head needs the spill
 
 
 class CodeTriple(NamedTuple):
@@ -125,7 +130,14 @@ def encode_op(s: AnsState, t) -> AnsState:
         if w or words:
             words = (w, words)
         # else: a zero word pushed onto the empty stack rejoins the pool
-    return _new_state(AnsState, (n * (head // p) + c + head % p, words))
+    head = n * (head // p) + c + head % p
+    if head < L:  # only after a spill, when n does not divide L
+        if words:
+            w, words = words
+            head = (head << WORD_BITS) | w
+        else:
+            head <<= WORD_BITS  # zero word from the pool
+    return _new_state(AnsState, (head, words))
 
 
 def decode_peek(s: AnsState, n) -> int:
@@ -133,7 +145,10 @@ def decode_peek(s: AnsState, n) -> int:
     n = _int(n)
     if n < 1 or n > L:
         raise ContractError(f"precision {n} outside [1, {L}]")
-    return s.head % n
+    head = s.head
+    if head >= _HALF and head >= n * (L // n) * B:
+        head >>= WORD_BITS
+    return head % n
 
 
 def decode_advance(s: AnsState, t) -> AnsState:
@@ -146,6 +161,11 @@ def decode_advance(s: AnsState, t) -> AnsState:
             and 0 <= c and 0 < p and c + p <= n <= L):
         c, p, n = _checked(t)
     head, words = s
+    if head >= _HALF and head >= n * (L // n) * B:  # undo encode's refill
+        w = head & _WORD_MASK
+        head >>= WORD_BITS
+        if w or words:
+            words = (w, words)
     i = head % n
     if not c <= i < c + p:
         raise ContractError(f"peek index {i} outside [{c}, {c + p})")
@@ -175,10 +195,13 @@ def serialize(s: AnsState) -> bytes:
 
 
 def deserialize(data: bytes) -> AnsState:
-    """Inverse of ``serialize``. Bottom zero words are canonicalized away."""
+    """Inverse of ``serialize``. Bottom zero words are canonicalized away, and
+    a head outside the canonical range ``[L, B*L)`` raises ``FormatError``."""
     if len(data) < 8 or len(data) % 4:
         raise FormatError(f"state must be 8 + 4k bytes, got {len(data)}")
     head = int.from_bytes(data[-8:], "big")
+    if not L <= head < B * L:
+        raise FormatError(f"state head {head:#x} outside [2**31, 2**63)")
     stack = array("I")
     stack.frombytes(data[:-8])
     if sys.byteorder == "little":

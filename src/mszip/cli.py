@@ -11,7 +11,7 @@ from .ans import deserialize, length_bits, serialize
 from .container import (CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED,
                         Container, codec_blob, codec_from_blob, pack, unpack)
 from .errors import MszipError
-from .mscodec import decode_multiset, encode_multiset, info_content, rate_report
+from .mscodec import decode_multiset, encode_multiset, rate_report
 from .multiset import Multiset
 from .nested import NestedMultiset, PairCodec, canonical_json, decode_nested, \
     encode_nested, ingest_json_records, nested_savings_bound, sequence_state
@@ -39,7 +39,8 @@ def _int_list(_ctx, _param, value):
               help="Container file to write.")
 @click.option("--codec", "codec_name", type=click.Choice(["bytes", "categorical"]),
               default="bytes", show_default=True)
-@click.option("--precision", type=int, default=16, show_default=True,
+@click.option("--precision", type=click.IntRange(0, 31), default=16,
+              show_default=True,
               help="Categorical precision exponent k (masses sum to 2^k).")
 @click.option("--max-len", type=int, default=None,
               help="Max payload bytes for the bytes codec (default: fit inputs; "

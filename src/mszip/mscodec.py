@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ans import L, AnsState, CodeTriple, decode_advance, decode_peek, encode_op, \
+from .ans import AnsState, CodeTriple, decode_advance, decode_peek, encode_op, \
     length_bits, state_new
-from .errors import ContractError, FormatError
+from .errors import FormatError
 from .multiset import FreqTree, Multiset, build_balanced
 
 _LN2 = math.log(2)
@@ -32,10 +32,6 @@ _LN2 = math.log(2)
 def sample_encode(s: AnsState, tree: FreqTree, codec) -> AnsState:
     """Drain ``tree`` onto ``s``: sample an occurrence, then encode its symbol."""
     while (n := tree.total) > 0:
-        if s.head < L:
-            raise ContractError(
-                "coder head left its canonical range before a sampling step; "
-                "symbol codec precisions must divide 2**31")
         i = decode_peek(s, n)
         sym, c, p = tree.lookup_and_remove(i)
         s = decode_advance(s, CodeTriple(c, p, n))

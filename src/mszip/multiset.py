@@ -142,104 +142,66 @@ class FreqTree:
         """Remove one occurrence of the symbol whose interval holds ``i``.
 
         Returns (sym, c, p) as of before the removal. Branch totals along the
-        search path are decremented on the way down; a node whose count hits
-        zero is unlinked, promoting its in-order successor when it has two
-        children.
+        search path are decremented on the way down. Nodes are never
+        unlinked: a symbol whose count reaches zero keeps its node, which
+        owns an empty interval that later walks pass over, so the tree keeps
+        its shape.
         """
         i = _int(i)
         if not 0 <= i < self.total:
             raise ContractError(f"index {i} outside [0, {self.total})")
-        parent = None
-        on_left = False
         node = self.root
         offset = 0
         seen = 0
         while True:
             seen += 1
-            node.total -= 1
             lt = node.left.total if node.left is not None else 0
             rt = node.right.total if node.right is not None else 0
-            cnt = node.total + 1 - lt - rt
+            cnt = node.total - lt - rt
+            node.total -= 1
             if i < lt:
-                parent, on_left = node, True
                 node = node.left
             elif i < lt + cnt:
-                break
+                self.visits += seen
+                self.ops += 1
+                return node.sym, offset + lt, cnt
             else:
                 i -= lt + cnt
                 offset += lt + cnt
-                parent, on_left = node, False
                 node = node.right
-        sym = node.sym
-        if cnt == 1:  # last occurrence: unlink the node
-            if node.left is None or node.right is None:
-                repl = node.left if node.left is not None else node.right
-                if parent is None:
-                    self.root = repl
-                elif on_left:
-                    parent.left = repl
-                else:
-                    parent.right = repl
-            else:
-                path = []
-                succ = node.right
-                while succ.left is not None:
-                    path.append(succ)
-                    succ = succ.left
-                seen += len(path) + 1
-                srt = succ.right.total if succ.right is not None else 0
-                scount = succ.total - srt
-                for mid in path:
-                    mid.total -= scount
-                if path:
-                    path[-1].left = succ.right
-                else:
-                    node.right = succ.right
-                node.sym = succ.sym
-                # node.total already dropped by 1 on the walk; it now owns
-                # scount occurrences and its right subtree lost the same.
-        self.visits += seen
-        self.ops += 1
-        return sym, offset + lt, cnt
 
     def insert_and_lookup(self, sym):
         """Add one occurrence of ``sym``; return (c, p) after the insert."""
-        if self.root is None:
-            self.root = _Node(sym, 1)
-            self.visits += 1
-            self.ops += 1
-            return 0, 1
+        parent = None
         node = self.root
         offset = 0
         seen = 0
-        while True:
+        while node is not None:
             seen += 1
             tot = node.total
             node.total = tot + 1
             if sym < node.sym:
-                if node.left is None:
-                    node.left = _Node(sym, 1)
-                    seen += 1
-                    c, p = offset, 1
-                    break
-                node = node.left
+                parent, node = node, node.left
             elif sym > node.sym:
                 rt = node.right.total if node.right is not None else 0
                 offset += tot - rt
-                if node.right is None:
-                    node.right = _Node(sym, 1)
-                    seen += 1
-                    c, p = offset, 1
-                    break
-                node = node.right
+                parent, node = node, node.right
             else:
                 lt = node.left.total if node.left is not None else 0
                 rt = node.right.total if node.right is not None else 0
-                c, p = offset + lt, tot + 1 - lt - rt
-                break
-        self.visits += seen
+                self.visits += seen
+                self.ops += 1
+                return offset + lt, tot + 1 - lt - rt
+        leaf = _Node(sym, 1)
+        if parent is None:
+            self.root = leaf
+        elif sym < parent.sym:
+            parent.left = leaf
+        else:
+            parent.right = leaf
+        self.visits += seen + 1
         self.ops += 1
-        return c, p
+        return offset, 1
 
     def to_multiset(self) -> Multiset:
         """In-order traversal back to canonical form."""
@@ -253,7 +215,8 @@ class FreqTree:
             node = stack.pop()
             lt = node.left.total if node.left is not None else 0
             rt = node.right.total if node.right is not None else 0
-            pairs.append((node.sym, node.total - lt - rt))
+            if node.total > lt + rt:  # drained nodes keep their place
+                pairs.append((node.sym, node.total - lt - rt))
             node = node.right
         return Multiset(pairs)
 
@@ -275,7 +238,8 @@ def build_balanced(m: Multiset) -> FreqTree:
     """Build a FreqTree for ``m`` with depth exactly ceil(log2(unique + 1)).
 
     The split keeps the right subtree perfect, so the depth bound is met with
-    equality at every size and removals never deepen the tree.
+    equality at every size; removals never unlink a node, so the shape never
+    changes.
     """
     pairs = m.pairs
 

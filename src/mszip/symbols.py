@@ -6,8 +6,9 @@ the ideal code length of a symbol under the codec's model. Codecs are
 immutable after construction and never depend on anything but the state
 passed in, so they compose freely with the sampling loops.
 
-All shipped codecs use power-of-two precisions, which keeps the coder head in
-its canonical range after every operation (see the ans module notes).
+The coder head is canonical after every operation at any precision (see the
+ans module notes). All shipped codecs use power-of-two precisions, under which
+the peeked index is just the head's low bits.
 """
 
 from __future__ import annotations
@@ -173,9 +174,9 @@ class ByteStringCodec:
 
     Payload bytes are folded in reverse so they decode in natural order, then
     the length is folded with a uniform code over [0, max_len]. ``max_len`` is
-    rounded up to ``2**k - 1`` so both codes keep the coder head canonical;
-    the length code then costs exactly k = log2(max_len + 1) bits per payload,
-    which is the price of making concatenated payloads self-delimiting.
+    rounded up to ``2**k - 1``, which the container format stores, so the
+    length code costs exactly k = log2(max_len + 1) bits per payload: the
+    price of making concatenated payloads self-delimiting.
 
     Each byte is one ``encode_op``/``decode_advance`` call on its triple from
     ``_BYTE_TRIPLES``, with no codec frame in between.

@@ -87,6 +87,11 @@ class TestStateBasics:
         raw = (0).to_bytes(4, "big") + (9).to_bytes(4, "big") + (L + 1).to_bytes(8, "big")
         assert deserialize(raw) == AnsState(L + 1, (9, ()))
 
+    @pytest.mark.parametrize("head", [0, L - 1, B * L, 2**64 - 1])
+    def test_non_canonical_head_rejected(self, head):
+        with pytest.raises(FormatError):
+            deserialize((7).to_bytes(4, "big") + head.to_bytes(8, "big"))
+
     @pytest.mark.parametrize("size", [0, 4, 7, 9, 13])
     def test_bad_lengths_rejected(self, size):
         with pytest.raises(FormatError):
@@ -189,6 +194,21 @@ class TestInversePair:
         t = CodeTriple(i, 1, n)
         assert encode_op(decode_advance(s, t), t) == s
 
+    @pytest.mark.parametrize("words", [(), (7, ())])
+    @pytest.mark.parametrize("offset", [0, 1, 12345, -1])
+    def test_sampling_inverse_above_the_encode_range(self, offset, words):
+        # n does not divide L, so heads in [M*B, B*L) are canonical but no
+        # encode under n leaves them there without a refill
+        n = 306783379
+        m = n * (L // n)
+        head = (m * B if offset >= 0 else B * L) + offset
+        s = AnsState(head, words)
+        i = decode_peek(s, n)
+        for t in (CodeTriple(i, 1, n), CodeTriple(max(0, i - 5), 11, n)):
+            d = decode_advance(s, t)
+            assert L <= d.head < B * L
+            assert encode_op(d, t) == s
+
     def test_fresh_state_sampling_is_bit_exact(self):
         # synthesized zero words must round-trip through the implicit pool
         s = state_new()
@@ -211,8 +231,7 @@ class TestHeadRange:
         for t in ts:
             if rng.random() < 0.7:
                 s = encode_op(s, t)
-                # equals [L, B*L) when n divides L; up to n-1 below otherwise
-                assert t.n * (L // t.n) <= s.head < B * L
+                assert L <= s.head < B * L
             else:
                 i = decode_peek(s, t.n)
                 s = decode_advance(s, CodeTriple(i, 1, t.n))

@@ -71,6 +71,18 @@ class TestCompressDecompress:
         restored = [p.read_bytes() for p in outdir.iterdir()]
         assert Multiset.from_iterable(restored) == Multiset.from_iterable(contents)
 
+    @pytest.mark.parametrize("precision", ["-1", "32"])
+    def test_precision_out_of_range_is_a_usage_error(self, runner, tmp_path,
+                                                     precision):
+        paths = make_inputs(tmp_path, [b"x", b"y"])
+        res = runner.invoke(main, ["compress", *map(str, paths), "-o",
+                                   str(tmp_path / "c.msz"), "--codec",
+                                   "categorical", "--precision", precision])
+        assert res.exit_code == 2
+        assert "0<=x<=31" in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "c.msz").exists()
+
     def test_empty_container_decompresses_to_empty_dir(self, runner, tmp_path):
         codec = ByteStringCodec(0)
         cid, blob = codec_blob(codec)

@@ -1,0 +1,31 @@
+"""Every name a package module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mszip"
+# nested imports these only so perfbench can patch them by name there
+ALLOWED = {("nested.py", "encode_op"), ("nested.py", "decode_advance")}
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported - used
+                  if (path.name, name) not in ALLOWED)
+
+
+# __init__.py is skipped: its imports are the package's re-exports
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []

@@ -42,6 +42,14 @@ class TestRoundTrip:
                 m = Multiset.from_iterable(combo)
                 assert roundtrip(m, ABC) == m
 
+    def test_sampling_at_a_precision_that_does_not_divide_2_31(self):
+        # one sampling step (n = 21551) meets a head in [M*B, B*L), where
+        # M = n * (2**31 // n); a coder that left that head to the decoder
+        # raised FormatError here
+        rng = random.Random(2)
+        m = Multiset.from_iterable(rng.randrange(1 << 16) for _ in range(1 << 15))
+        assert roundtrip(m, UniformCodec(1 << 16)) == m
+
     def test_random_multisets_mixed_profiles(self):
         rng = random.Random(404)
         codec = UniformCodec(1 << 16)

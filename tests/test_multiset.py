@@ -13,6 +13,16 @@ from mszip import ContractError, FreqTree, Multiset, NotFoundError, build_balanc
 REFERENCE = Multiset([("a", 1), ("b", 2), ("c", 3), ("d", 1), ("e", 1)])
 
 
+def _nodes(t):
+    """Every node object in the tree, keyed by id."""
+    nodes, stack = {}, [t.root] if t.root is not None else []
+    while stack:
+        node = stack.pop()
+        nodes[id(node)] = node
+        stack.extend(k for k in (node.left, node.right) if k is not None)
+    return nodes
+
+
 def multisets(max_unique=64, max_count=8):
     return st.dictionaries(st.integers(0, 1000), st.integers(1, max_count),
                            min_size=0, max_size=max_unique) \
@@ -123,7 +133,7 @@ class TestRemove:
         t = build_balanced(Multiset([("x", 1)]))
         assert t.lookup_and_remove(0) == ("x", 0, 1)
         assert t.total == 0
-        assert t.root is None
+        assert t.to_multiset() == Multiset()
 
     def test_removing_least_promotes_next(self):
         t = build_balanced(REFERENCE)
@@ -148,7 +158,22 @@ class TestRemove:
                 del pairs[sym]
             remaining -= 1
             assert t.to_multiset() == Multiset(sorted(pairs.items()))
-        assert t.root is None
+        assert t.total == 0
+        assert t.to_multiset() == Multiset()
+
+    def test_drained_symbol_is_reinserted_into_its_node(self):
+        t = build_balanced(REFERENCE)
+        nodes = _nodes(t)
+        for _ in range(3):  # "c" occupies [3, 6)
+            assert t.lookup_and_remove(3)[0] == "c"
+        assert t.forward_lookup("d") == (3, 1)
+        drained = REFERENCE.pairs[:2] + REFERENCE.pairs[3:]
+        assert t.to_multiset() == Multiset(drained)
+        for k in range(3):
+            with_c = drained[:2] + (("c", k + 1),) + drained[2:]
+            assert t.insert_and_lookup("c") == linear_forward(with_c, "c")
+        assert _nodes(t).keys() == nodes.keys()
+        assert t.to_multiset() == REFERENCE
 
 
 class TestInsert:
@@ -194,6 +219,18 @@ class TestVisitInstrumentation:
             before = t.visits
             t.lookup_and_remove(rng.randrange(t.total))
             assert t.visits - before <= bound
+
+    @given(multisets(max_unique=40), st.randoms(use_true_random=False))
+    def test_drain_keeps_shape_and_visits_at_most_depth(self, m, rng):
+        t = build_balanced(m)
+        depth, nodes = t.depth(), _nodes(t)
+        assert depth == math.ceil(math.log2(m.unique + 1))
+        while t.total:
+            before = t.visits
+            t.lookup_and_remove(rng.randrange(t.total))
+            assert t.visits - before <= depth
+        assert t.depth() == depth
+        assert _nodes(t).keys() == nodes.keys()
 
     def test_counters_accumulate(self):
         t = build_balanced(REFERENCE)
