@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 from bisect import bisect_right
 from operator import index as _int
 
@@ -167,6 +168,7 @@ class UniformCodec:
 
 # The code triple of each byte under the uniform byte model.
 _BYTE_TRIPLES = tuple(CodeTriple(b, 1, 256) for b in range(256))
+_WORDS_BE = struct.Struct(">I")
 
 
 class ByteStringCodec:
@@ -178,35 +180,75 @@ class ByteStringCodec:
     length code costs exactly k = log2(max_len + 1) bits per payload: the
     price of making concatenated payloads self-delimiting.
 
-    Each byte is one ``encode_op``/``decode_advance`` call on its triple from
-    ``_BYTE_TRIPLES``, with no codec frame in between.
+    The output is bit for bit that of one ``(b, 1, 256)`` op per byte, but up
+    to three bytes share one ``encode_op``/``decode_advance`` call on the
+    triple ``(c, 1, 2**(8*m))``, where ``c`` holds the m bytes little-endian
+    (the byte decoded first is lowest). Such an op leaves the state that m
+    byte ops leave when none of them spills or refills before the last: an
+    encode needs a head of bit length below ``64 - 8*m``, or of at least 56
+    so that both spill before the first byte; a decode needs one of at least
+    ``24 + 8*m``. Each side takes the widest op its head allows: one aligning
+    op brings the head to 56 bits or more, then 3-byte and 1-byte ops
+    alternate, about one op per two bytes. The length is one more op.
     """
 
-    __slots__ = ("max_len", "_len_code")
+    __slots__ = ("max_len",)
 
     def __init__(self, max_len=255):
         max_len = _int(max_len)
         if max_len < 0:
             raise ContractError(f"max_len must be >= 0, got {max_len}")
         self.max_len = (1 << max_len.bit_length()) - 1
-        self._len_code = UniformCodec(self.max_len + 1)
+        if self.max_len >= L:
+            raise ContractError(f"max_len {self.max_len} exceeds {L - 1}")
 
     def encode(self, state, payload: bytes):
         if len(payload) > self.max_len:
             raise CapacityError(
                 f"payload of {len(payload)} bytes exceeds max_len {self.max_len}")
         # bytes() keeps a sequence of ints from indexing the table out of range
-        for b in reversed(bytes(payload)):
-            state = encode_op(state, _BYTE_TRIPLES[b])
-        return self._len_code.encode(state, len(payload))
+        payload = bytes(payload)
+        k = len(payload)
+        m = min(k, (63 - state[0].bit_length()) >> 3)  # 0 from 56 bits on
+        if m:
+            k -= m
+            c = int.from_bytes(payload[k:k + m], "little")
+            state = encode_op(state, (c, 1, 1 << 8 * m))
+        r = k & 3
+        # Big-endian words of the reversed bytes are the little-endian words
+        # of the payload, last first. Each is a 3-byte op, which spills, and
+        # a 1-byte op, which cannot.
+        for (w,) in _WORDS_BE.iter_unpack(payload[r:k][::-1]):
+            state = encode_op(state, (w >> 8, 1, 1 << 24))
+            state = encode_op(state, _BYTE_TRIPLES[w & 0xFF])
+        if r:
+            c = int.from_bytes(payload[:r], "little")
+            state = encode_op(state, (c, 1, 1 << 8 * r))
+        return encode_op(state, (len(payload), 1, self.max_len + 1))
 
     def decode(self, state):
-        state, n = self._len_code.decode(state)
+        k = state[0] & self.max_len  # the peeked index under precision max_len + 1
+        state = decode_advance(state, (k, 1, self.max_len + 1))
         out = bytearray()
-        for _ in range(n):
-            b = state[0] & 0xFF  # the peeked index under precision 256
+        head = state[0]
+        m = min(k, (head.bit_length() - 24) >> 3) if head < 1 << 55 else 0
+        if m:
+            k -= m
+            c = head & ((1 << 8 * m) - 1)
+            state = decode_advance(state, (c, 1, 1 << 8 * m))
+            out += c.to_bytes(m, "little")
+        r = k & 3
+        for _ in range(k >> 2):  # the 1-byte op refills, the 3-byte op cannot
+            c = state[0] & 0xFFFFFF
+            state = decode_advance(state, (c, 1, 1 << 24))
+            out += c.to_bytes(3, "little")
+            b = state[0] & 0xFF
             state = decode_advance(state, _BYTE_TRIPLES[b])
             out.append(b)
+        if r:
+            c = state[0] & ((1 << 8 * r) - 1)
+            state = decode_advance(state, (c, 1, 1 << 8 * r))
+            out += c.to_bytes(r, "little")
         return state, bytes(out)
 
     def bits(self, payload) -> float:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import byte_string_decode_chain, byte_string_encode_chain, fractional_bits
-from mszip import (ByteStringCodec, CapacityError, CodeTriple, ContractError,
-                   NotFoundError, PairCodec, QuantizedCategorical, UniformCodec, ans,
-                   quantize_pmf, state_new, symbols)
+from mszip import (AnsState, B, ByteStringCodec, CapacityError, CodeTriple,
+                   ContractError, NotFoundError, PairCodec, QuantizedCategorical,
+                   UniformCodec, ans, quantize_pmf, state_new, symbols)
 
 
 class TestQuantizePmf:
@@ -145,6 +145,9 @@ class TestByteStringCodec:
         assert ByteStringCodec(100).max_len == 127
         assert ByteStringCodec(256).max_len == 511
         assert ByteStringCodec(0).max_len == 0
+        assert ByteStringCodec((1 << 31) - 1).max_len == (1 << 31) - 1
+        with pytest.raises(ContractError):  # the length code needs n <= 2**31
+            ByteStringCodec(1 << 31)
 
     def test_roundtrip(self):
         codec = ByteStringCodec(255)
@@ -221,6 +224,30 @@ class TestByteStringCodec:
             assert (s, got) == want
             assert got == p
 
+    def test_every_head_length_matches_uniform_codec_chain(self):
+        # Multi-byte ops are exact only at certain head bit lengths, so walk
+        # every canonical length, at both ends of its range and inside it,
+        # under 0, 1 and 2 stack words, through every aligning op width.
+        codec = ByteStringCodec(1024)
+        rng = random.Random(7)
+        heads = []
+        for bits in range(32, 64):
+            heads += [1 << (bits - 1), (1 << bits) - 1,
+                      rng.randrange(1 << (bits - 1), 1 << bits)]
+        stacks = [(), (rng.randrange(1, B), ()), (0, (rng.randrange(1, B), ()))]
+        payloads = [rng.randbytes(k) for k in [*range(10), 1024]]
+        for head in heads:
+            for words in stacks:
+                s = AnsState(head, words)
+                for p in payloads:
+                    want = byte_string_encode_chain(codec, s, p)
+                    assert codec.encode(s, p) == want, (head, words, len(p))
+                    assert codec.decode(want) == (s, p), (head, words, len(p))
+                    # The decode starts from this head: code only the length.
+                    t = UniformCodec(codec.max_len + 1).encode(s, len(p))
+                    assert codec.decode(t) == byte_string_decode_chain(codec, t), \
+                        (head, words, len(p))
+
 
 def _recorder(fn, ops):
     def wrapper(s, t):
@@ -272,16 +299,32 @@ class TestTracedOps:
             s = out
         assert s == state_new()
 
-    def test_byte_codec_ops_are_one_per_byte_then_the_length(self, monkeypatch):
+    def test_byte_codec_ops_carry_up_to_three_bytes_then_the_length(self, monkeypatch):
         ops = []
         monkeypatch.setattr(symbols, "encode_op", _recorder(ans.encode_op, ops))
         monkeypatch.setattr(symbols, "decode_advance",
                             _recorder(ans.decode_advance, ops))
-        codec = ByteStringCodec(100)
-        payload = bytes([7, 0, 255, 7])
-        s = codec.encode(state_new(), payload)
-        want = [(b, 1, 256) for b in reversed(payload)] + [(4, 1, 128)]
-        assert [t for _, t in ops] == want
-        ops.clear()
-        codec.decode(s)
-        assert [t for _, t in ops] == want[::-1]
+        codec = ByteStringCodec(2047)
+        rng = random.Random(0)
+        loaded = state_new()
+        for _ in range(5):
+            loaded = ans.encode_op(loaded, (rng.randrange(1 << 31), 1, 1 << 31))
+        for start, k in itertools.product([state_new(), loaded],
+                                          [*range(10), 100, 1024, 2047]):
+            payload = rng.randbytes(k)
+            ops.clear()
+            s = codec.encode(start, payload)
+            encoded = [t for _, t in ops]
+            ops.clear()
+            assert codec.decode(s) == (start, payload)
+            decoded = [t for _, t in ops]
+            # The length op is the last encoded and the first decoded. Each
+            # byte op holds its bytes little-endian, the first decoded lowest.
+            for length_op, byte_ops in [(encoded[-1], encoded[:-1][::-1]),
+                                        (decoded[0], decoded[1:])]:
+                assert length_op == (k, 1, 2048)
+                assert all(p == 1 and n in (1 << 8, 1 << 16, 1 << 24)
+                           for _, p, n in byte_ops)
+                assert len(byte_ops) <= k // 2 + 2
+                assert b"".join(c.to_bytes(n.bit_length() // 8, "little")
+                                for c, _, n in byte_ops) == payload
