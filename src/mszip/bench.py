@@ -5,8 +5,10 @@ alpha_k = k over the alphabet, generate a multiset with an exact number of
 unique symbols, and measure rate and wall time for a full encode + decode.
 Timing covers tree build, sampling, and coding; data generation, codec
 construction, and I/O are excluded, and the garbage collector is kept out. A
-synthetic time is the median of three runs taken in three sweeps over the
-sizes, so that drift in machine speed moves the sizes alike. Everything is
+synthetic time is the median of five runs taken in five sweeps over the
+sizes, so that drift in machine speed moves the sizes alike, and each run is
+scaled to a reference machine speed measured by a fixed loop timed twice
+right before and twice right after it (see ``calibrate``). Everything is
 seed-deterministic, so a repeated run reproduces every column except the time
 ones.
 
@@ -118,6 +120,18 @@ def _subseed(*parts) -> np.random.SeedSequence:
     return np.random.SeedSequence(list(parts))
 
 
+CAL_REF_S = 0.0135  # calibrate() on the reference machine (2-vCPU VM, Python 3.11)
+
+
+def calibrate() -> float:
+    """Seconds for a fixed pure-Python loop: the machine's speed right now."""
+    t0 = time.perf_counter()
+    d = {}
+    for i in range(100_000):
+        d[i & 1023] = (i, i * i)
+    return time.perf_counter() - t0
+
+
 @contextmanager
 def _gc_paused():
     gc.collect()
@@ -130,9 +144,10 @@ def _gc_paused():
 
 def _round_trip(m: Multiset, codec):
     """Encode and decode ``m`` once; return the state, the encoder and decoder
-    trees, and the encode and decode seconds."""
+    trees, and the encode and decode seconds at the reference speed."""
     dtree = FreqTree()
     with _gc_paused():
+        cal = [calibrate(), calibrate()]
         t0 = time.perf_counter()
         etree = build_balanced(m)
         state = sample_encode(state_new(), etree, codec)
@@ -140,9 +155,11 @@ def _round_trip(m: Multiset, codec):
         sample_decode(state, m.total, codec, dtree)
         out = dtree.to_multiset()
         t2 = time.perf_counter()
+        cal += [calibrate(), calibrate()]
     if out != m:
         raise RuntimeError("round-trip mismatch in benchmark")
-    return state, etree, dtree, t1 - t0, t2 - t1
+    scale = CAL_REF_S / median(cal)
+    return state, etree, dtree, (t1 - t0) * scale, (t2 - t1) * scale
 
 
 def synthetic_rows(cfg: BenchConfig) -> list[dict]:
@@ -156,7 +173,7 @@ def synthetic_rows(cfg: BenchConfig) -> list[dict]:
             ms = [gen_fixed_unique_multiset(pmf, cfg.unique_symbols, size,
                                             _subseed(cfg.seed, a, size, rep))
                   for size in cfg.sizes]
-            sweeps = [[_round_trip(m, codec) for m in ms] for _ in range(3)]
+            sweeps = [[_round_trip(m, codec) for m in ms] for _ in range(5)]
             for m, runs in zip(ms, zip(*sweeps)):
                 state, etree, dtree, _, _ = runs[-1]
                 compressed = length_bits(state)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ans import AnsState, CodeTriple, decode_advance, decode_peek, encode_op, \
-    length_bits, state_new
+from .ans import AnsState, decode_advance, decode_peek, encode_op, length_bits, \
+    state_new
 from .errors import FormatError
 from .multiset import FreqTree, Multiset, build_balanced
 
@@ -31,20 +31,24 @@ _LN2 = math.log(2)
 
 def sample_encode(s: AnsState, tree: FreqTree, codec) -> AnsState:
     """Drain ``tree`` onto ``s``: sample an occurrence, then encode its symbol."""
-    while (n := tree.total) > 0:
-        i = decode_peek(s, n)
-        sym, c, p = tree.lookup_and_remove(i)
-        s = decode_advance(s, CodeTriple(c, p, n))
-        s = codec.encode(s, sym)
+    remove, encode = tree.lookup_and_remove, codec.encode
+    n = tree.total  # counted down here, not read back from the tree
+    while n:
+        sym, c, p = remove(decode_peek(s, n))
+        s = encode(decode_advance(s, (c, p, n)), sym)
+        n -= 1
     return s
 
 
 def sample_decode(s: AnsState, size, codec, tree: FreqTree) -> AnsState:
     """Inverse of ``sample_encode``: decode ``size`` symbols into ``tree``."""
+    insert, decode = tree.insert_and_lookup, codec.decode
+    n = tree.total  # counted up here, not read back from the tree
     for _ in range(size):
-        s, sym = codec.decode(s)
-        c, p = tree.insert_and_lookup(sym)
-        s = encode_op(s, CodeTriple(c, p, tree.total))
+        s, sym = decode(s)
+        c, p = insert(sym)
+        n += 1
+        s = encode_op(s, (c, p, n))
     return s
 
 

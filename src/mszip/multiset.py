@@ -146,29 +146,42 @@ class FreqTree:
         unlinked: a symbol whose count reaches zero keeps its node, which
         owns an empty interval that later walks pass over, so the tree keeps
         its shape.
+
+        It visits the nodes ``reverse_lookup`` visits, but walks differently:
+        it reads a node's left total first and descends left on that alone,
+        reads the right total only when the index lies past the left
+        subtree, and shifts ``i`` as it passes each interval.
         """
         i = _int(i)
-        if not 0 <= i < self.total:
+        root = self.root
+        if not 0 <= i < (root.total if root is not None else 0):
             raise ContractError(f"index {i} outside [0, {self.total})")
-        node = self.root
+        node = root
         offset = 0
         seen = 0
         while True:
             seen += 1
-            lt = node.left.total if node.left is not None else 0
-            rt = node.right.total if node.right is not None else 0
-            cnt = node.total - lt - rt
-            node.total -= 1
-            if i < lt:
-                node = node.left
-            elif i < lt + cnt:
+            tot = node.total
+            node.total = tot - 1
+            left = node.left
+            if left is not None:
+                lt = left.total
+                if i < lt:
+                    node = left
+                    continue
+                i -= lt
+                offset += lt
+                tot -= lt
+            right = node.right
+            if right is not None:
+                tot -= right.total  # now the node's own count
+            if i < tot:
                 self.visits += seen
                 self.ops += 1
-                return node.sym, offset + lt, cnt
-            else:
-                i -= lt + cnt
-                offset += lt + cnt
-                node = node.right
+                return node.sym, offset, tot
+            i -= tot
+            offset += tot
+            node = right
 
     def insert_and_lookup(self, sym):
         """Add one occurrence of ``sym``; return (c, p) after the insert."""
@@ -180,15 +193,17 @@ class FreqTree:
             seen += 1
             tot = node.total
             node.total = tot + 1
-            if sym < node.sym:
+            key = node.sym
+            if sym < key:
                 parent, node = node, node.left
-            elif sym > node.sym:
-                rt = node.right.total if node.right is not None else 0
-                offset += tot - rt
-                parent, node = node, node.right
+            elif sym > key:
+                right = node.right
+                offset += tot - right.total if right is not None else tot
+                parent, node = node, right
             else:
-                lt = node.left.total if node.left is not None else 0
-                rt = node.right.total if node.right is not None else 0
+                left, right = node.left, node.right
+                lt = left.total if left is not None else 0
+                rt = right.total if right is not None else 0
                 self.visits += seen
                 self.ops += 1
                 return offset + lt, tot + 1 - lt - rt

@@ -17,6 +17,7 @@ import heapq
 import math
 import struct
 from bisect import bisect_right
+from itertools import repeat
 from operator import index as _int
 
 from .ans import L, CodeTriple, decode_advance, decode_peek, encode_op
@@ -48,7 +49,9 @@ def quantize_pmf(weights, precision) -> list[int]:
     masses = [max(1, int(sh)) for sh in shares]
     residue = precision - sum(masses)
     if residue > 0:
-        order = sorted(range(n), key=lambda k: (masses[k] - shares[k], k))
+        gaps = [m - sh for m, sh in zip(masses, shares)]
+        # A stable sort of ascending indices leaves ties in index order.
+        order = sorted(range(n), key=gaps.__getitem__)
         for k in order[:residue]:
             masses[k] += 1
     elif residue < 0:
@@ -75,12 +78,16 @@ def _check_pow2(precision):
 class QuantizedCategorical:
     """Finite alphabet with integer masses summing to a power-of-two precision.
 
-    Encoding reads the (c, p) interval straight from the tables; decoding
-    binary-searches the cumulative table for the interval containing the
-    peeked index, so it costs O(log alphabet) regardless of masses.
+    The constructor builds one table of code triples ``(cdf[k], pmf[k],
+    precision)``, so encoding is a dictionary lookup of the symbol's position
+    and one ``encode_op`` on that position's triple. Decoding peeks the index
+    as the head's low bits, ``head & (precision - 1)``, which equals
+    ``decode_peek`` because the precision is a power of two and the head is
+    canonical; it then binary-searches the cumulative table for the interval
+    containing that index, so it costs O(log alphabet) regardless of masses.
     """
 
-    __slots__ = ("alphabet", "pmf", "cdf", "precision", "_index")
+    __slots__ = ("alphabet", "pmf", "cdf", "precision", "_index", "_triples")
 
     def __init__(self, alphabet, pmf):
         alphabet = list(alphabet)
@@ -110,6 +117,7 @@ class QuantizedCategorical:
         self.cdf = cdf
         self.precision = precision
         self._index = index
+        self._triples = list(zip(cdf, pmf, repeat(precision)))
 
     @classmethod
     def from_weights(cls, alphabet, weights, precision=1 << 16):
@@ -118,27 +126,27 @@ class QuantizedCategorical:
         return cls(alphabet, quantize_pmf(weights, precision))
 
     def triple(self, sym) -> CodeTriple:
+        return CodeTriple._make(self._triples[self._position(sym)])
+
+    def _position(self, sym) -> int:
         try:
-            k = self._index[sym]
+            return self._index[sym]
         except (KeyError, TypeError):
             raise NotFoundError(sym) from None
-        return CodeTriple(self.cdf[k], self.pmf[k], self.precision)
 
     def encode(self, state, sym):
-        return encode_op(state, self.triple(sym))
-
-    def decode(self, state):
-        i = decode_peek(state, self.precision)
-        k = bisect_right(self.cdf, i) - 1
-        t = CodeTriple(self.cdf[k], self.pmf[k], self.precision)
-        return decode_advance(state, t), self.alphabet[k]
-
-    def bits(self, sym) -> float:
         try:
-            k = self._index[sym]
+            t = self._triples[self._index[sym]]
         except (KeyError, TypeError):
             raise NotFoundError(sym) from None
-        return math.log2(self.precision / self.pmf[k])
+        return encode_op(state, t)
+
+    def decode(self, state):
+        k = bisect_right(self.cdf, state[0] & (self.precision - 1)) - 1
+        return decode_advance(state, self._triples[k]), self.alphabet[k]
+
+    def bits(self, sym) -> float:
+        return math.log2(self.precision / self.pmf[self._position(sym)])
 
 
 class UniformCodec:

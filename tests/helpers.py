@@ -2,10 +2,12 @@
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import index as _int
 
-from mszip import CodeTriple, ContractError, L, Multiset, UniformCodec
+from mszip import (CodeTriple, ContractError, L, Multiset, UniformCodec,
+                   decode_advance, decode_peek, encode_op)
 from mszip.ans import WORD_BITS, _checked
 
 
@@ -119,3 +121,32 @@ def byte_string_decode_chain(codec, state):
         state, b = byte_code.decode(state)
         out.append(b)
     return state, bytes(out)
+
+
+def categorical_encode_reference(codec, state, sym):
+    """``QuantizedCategorical.encode`` from the codec's public tables: the
+    symbol's position by binary search of the alphabet, then one op on a
+    ``CodeTriple``. The oracle for the codec's triple table."""
+    k = bisect_left(codec.alphabet, sym)
+    if k == len(codec.alphabet) or codec.alphabet[k] != sym:
+        raise KeyError(sym)
+    return encode_op(state, CodeTriple(codec.cdf[k], codec.pmf[k], codec.precision))
+
+
+def categorical_decode_reference(codec, state):
+    """Inverse of ``categorical_encode_reference``: the index from
+    ``decode_peek``, its interval by binary search of the cumulative table."""
+    i = decode_peek(state, codec.precision)
+    k = bisect_right(codec.cdf, i) - 1
+    t = CodeTriple(codec.cdf[k], codec.pmf[k], codec.precision)
+    return decode_advance(state, t), codec.alphabet[k]
+
+
+def sample_decode_reference(s, size, codec, tree):
+    """The decode sampling loop with the tree total read from the tree and a
+    ``CodeTriple`` per op. The oracle for ``mscodec.sample_decode``."""
+    for _ in range(size):
+        s, sym = codec.decode(s)
+        c, p = tree.insert_and_lookup(sym)
+        s = encode_op(s, CodeTriple(c, p, tree.total))
+    return s

@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from helpers import random_multiset
+from helpers import random_multiset, sample_decode_reference
 from mszip import (CodeTriple, FormatError, Multiset, QuantizedCategorical,
                    UniformCodec, build_balanced, decode_advance, decode_multiset,
                    decode_peek, encode_multiset, encode_op, info_content,
-                   length_bits, permutation_bits, rate_report, serialize,
-                   state_new)
+                   length_bits, permutation_bits, rate_report, sample_decode,
+                   serialize, state_new)
 
 ABC = QuantizedCategorical.from_weights(["a", "b", "c"], [1, 1, 1], 1 << 16)
 
@@ -85,6 +85,17 @@ class TestSamplingInvertibility:
             s = decode_advance(s, CodeTriple(c, p, n))
             assert encode_op(s, CodeTriple(c, p, n)) == before
             s = codec.encode(s, sym)
+
+    def test_decode_into_a_non_empty_tree_matches_reference_loop(self):
+        rng = random.Random(32)
+        codec = UniformCodec(64)
+        start = Multiset([(k, rng.randint(1, 5)) for k in range(0, 64, 3)])
+        s = encode_multiset(random_multiset(rng, max_total=300, alphabet=64), codec)
+        got_tree, want_tree = build_balanced(start), build_balanced(start)
+        got = sample_decode(s, 500, codec, got_tree)
+        assert got == sample_decode_reference(s, 500, codec, want_tree)
+        assert got_tree.to_multiset() == want_tree.to_multiset()
+        assert got_tree.total == start.total + 500
 
 
 class TestResidualCheck:

@@ -1,5 +1,6 @@
 """Frequency-tree tests against a linear-scan oracle and worked examples."""
 
+import hashlib
 import math
 import random
 
@@ -239,6 +240,45 @@ class TestVisitInstrumentation:
         t.reverse_lookup(3)
         assert t.ops == 2
         assert t.visits >= 2
+
+
+def _pinned_workload():
+    """2**14 draws from 1,024 symbols, and the generator that then picks the
+    drain's indices."""
+    rng = random.Random(20261018)
+    pool = rng.sample(range(1 << 16), 1024)
+    return rng, [rng.choice(pool) for _ in range(1 << 14)]
+
+
+def _digest(seq):
+    return hashlib.sha256(repr(seq).encode()).hexdigest()
+
+
+class TestPinnedWork:
+    """A seeded drain and fill give the (sym, c, p) sequences and the
+    visit and op counts recorded from an earlier implementation of the
+    walks, which read every child total on every visit."""
+
+    def test_drain_of_balanced_tree(self):
+        rng, syms = _pinned_workload()
+        m = Multiset.from_iterable(syms)
+        assert m.unique == 1024
+        t = build_balanced(m)
+        drained = []
+        while t.total:
+            drained.append(t.lookup_and_remove(rng.randrange(t.total)))
+        assert _digest(drained) == \
+            "563b87831ae9d75466d86c5afc53cfd08243ef544acfd9fef7d6e77f2be5e502"
+        assert (t.visits, t.ops) == (163_887, 16_384)
+
+    def test_fill_of_empty_tree(self):
+        _, syms = _pinned_workload()
+        t = FreqTree()
+        filled = [(sym, *t.insert_and_lookup(sym)) for sym in syms]
+        assert _digest(filled) == \
+            "e6939e9ff7abae6c08938b06b01c3c79c62eb9df59fea299a3aec2f43167d116"
+        assert (t.visits, t.ops) == (198_532, 16_384)
+        assert t.to_multiset() == Multiset.from_iterable(syms)
 
 
 @settings(max_examples=50)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import byte_string_decode_chain, byte_string_encode_chain, fractional_bits
+from helpers import (byte_string_decode_chain, byte_string_encode_chain,
+                     categorical_decode_reference, categorical_encode_reference,
+                     fractional_bits)
 from mszip import (AnsState, B, ByteStringCodec, CapacityError, CodeTriple,
                    ContractError, NotFoundError, PairCodec, QuantizedCategorical,
-                   UniformCodec, ans, quantize_pmf, state_new, symbols)
+                   UniformCodec, ans, decode_peek, quantize_pmf, state_new, symbols)
 
 
 class TestQuantizePmf:
@@ -21,6 +23,10 @@ class TestQuantizePmf:
 
     def test_largest_remainder_with_min_floor(self):
         assert quantize_pmf([0.9, 0.05, 0.05], 8) == [6, 1, 1]
+
+    def test_ties_go_to_the_lower_index(self):
+        assert quantize_pmf([1, 1, 1], 8) == [3, 3, 2]
+        assert quantize_pmf([1, 1, 1, 1, 1], 8) == [2, 2, 2, 1, 1]
 
     def test_against_enumeration_oracle(self):
         # best L1 apportionment with masses >= 1 is unique here
@@ -75,10 +81,39 @@ class TestCategorical:
 
     def test_unknown_symbol(self):
         codec = self.alphabet_codec()
-        with pytest.raises(NotFoundError):
-            codec.encode(state_new(), 99)
-        with pytest.raises(NotFoundError):
-            codec.bits("nope")
+        for sym in (99, "nope", [1], {}):  # the last two are unhashable
+            with pytest.raises(NotFoundError):
+                codec.encode(state_new(), sym)
+            with pytest.raises(NotFoundError):
+                codec.bits(sym)
+            with pytest.raises(NotFoundError):
+                codec.triple(sym)
+
+    def test_table_codec_matches_reference_at_every_head_length(self):
+        rng = random.Random(8)
+        # Precisions 2**0, 2**16 and 2**31; zero weights get mass 1.
+        codecs = [QuantizedCategorical(["only"], [1])] + [
+            QuantizedCategorical.from_weights(
+                sorted(rng.sample(range(1 << 20), 24)),
+                [rng.choice([0.0, rng.random()]) for _ in range(24)], precision)
+            for precision in (1 << 16, 1 << 31)]
+        for codec in codecs:
+            for k, sym in enumerate(codec.alphabet):
+                assert codec.triple(sym) == CodeTriple(
+                    codec.cdf[k], codec.pmf[k], codec.precision)
+        for length, words, codec in itertools.product(range(32, 64), range(3), codecs):
+            for head in (1 << (length - 1), (1 << length) - 1,
+                         rng.randrange(1 << (length - 1), 1 << length)):
+                stack = ()
+                for k in range(words):  # the bottom word is nonzero
+                    stack = (rng.randrange(k == 0, B), stack)
+                s = AnsState(head, stack)
+                where = (codec.precision, head, words)
+                assert s.head & (codec.precision - 1) == decode_peek(s, codec.precision)
+                assert codec.decode(s) == categorical_decode_reference(codec, s), where
+                for sym in codec.alphabet:
+                    assert codec.encode(s, sym) == \
+                        categorical_encode_reference(codec, s, sym), (*where, sym)
 
     @settings(max_examples=100)
     @given(st.randoms(use_true_random=False))
