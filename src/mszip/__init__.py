@@ -7,8 +7,8 @@ sampled without replacement from the multiset and encoded in sampled order,
 and the decoder reverses both steps exactly.
 """
 
-from .ans import (AnsState, B, CodeTriple, L, decode_advance, decode_peek,
-                  deserialize, encode_op, length_bits, serialize, state_new)
+from .ans import (B, CodeTriple, L, decode_advance, decode_peek, deserialize,
+                  encode_op, length_bits, serialize, state_new)
 from .container import Container, codec_blob, codec_from_blob, crc32c, pack, unpack
 from .errors import (CapacityError, ContractError, FormatError, IngestError,
                      MszipError, NotFoundError)

@@ -1,8 +1,9 @@
 """Stack-based asymmetric numeral systems (ANS) coder.
 
-The coder state is a pair ``(head, words)``: a 64-bit working integer plus a
-stack of 32-bit overflow words. ``encode_op`` mixes a symbol interval into the
-head, spilling its low word onto the stack when the head would overflow, and
+The coder state is a plain tuple ``(head, words)``: a 64-bit working integer
+plus a stack of 32-bit overflow words, kept as a cons list ``()`` or
+``(word, rest)``. ``encode_op`` mixes a symbol interval into the head,
+spilling its low word onto the stack when the head would overflow, and
 ``decode_advance`` is the exact inverse, refilling the head from the stack when
 it would drop below ``L``. At every operation boundary the head lies in the
 canonical range ``[L, B*L)``. When the precision ``N`` does not divide ``L``,
@@ -11,6 +12,12 @@ one word back into it; ``decode_peek`` and ``decode_advance`` undo that by
 first spilling one word from a head at or above ``N*(L//N)*B``. Since
 ``N*(L//N) > L/2`` for every ``N``, heads below ``B*L/2`` skip that check, and
 power-of-two precisions never take either branch.
+
+States are immutable: an operation returns a new tuple that shares the
+untouched part of the stack with its input. Tuple equality recurses once per
+word, so ``==`` on two separately built states of more than about a thousand
+words raises ``RecursionError``: compare deep states by ``serialize``, which
+is injective on canonical states.
 
 Unlike the usual power-of-two-only formulation, the precision ``N`` may be any
 integer in ``[1, L]`` and may change per operation. That is what lets a single
@@ -57,48 +64,9 @@ class CodeTriple(NamedTuple):
     n: int
 
 
-class AnsState(NamedTuple):
-    """Immutable coder state. ``words`` is a cons list: () or (word, rest).
-
-    Equality walks the cons list iteratively; tuple recursion would overflow
-    on deep stacks.
-    """
-
-    head: int
-    words: tuple = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, tuple) or len(other) != 2:
-            return NotImplemented
-        if self.head != other[0]:
-            return False
-        a, b = self.words, other[1]
-        while a is not b:
-            if not a or not b:
-                return False
-            if a[0] != b[0]:
-                return False
-            a, b = a[1], b[1]
-        return True
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = tuple.__hash__
-
-    def __repr__(self):
-        k = 0
-        w = self.words
-        while w:
-            k += 1
-            w = w[1]
-        return f"AnsState(head={self.head:#x}, words={k})"
-
-
-def state_new() -> AnsState:
+def state_new() -> tuple:
     """Minimal state: head at the bottom of the canonical range, no words."""
-    return AnsState(L, ())
+    return (L, ())
 
 
 def _checked(t) -> tuple[int, int, int]:
@@ -111,12 +79,9 @@ def _checked(t) -> tuple[int, int, int]:
 
 # encode_op and decode_advance run once per coded symbol or byte, so they
 # check plain-int triples inline and leave every other triple (numpy ints,
-# bools, floats, bad ranges) to ``_checked``; they also build the result
-# with ``tuple.__new__``, which skips the NamedTuple constructor's frame.
-_new_state = tuple.__new__
-
-
-def encode_op(s: AnsState, t) -> AnsState:
+# bools, floats, bad ranges) to ``_checked``; a plain tuple is also the
+# cheapest new state to build.
+def encode_op(s: tuple, t) -> tuple:
     """Fold the interval ``t`` into the state; adds ~log2(n/p) bits."""
     c, p, n = t
     if not (type(c) is type(p) is type(n) is int
@@ -137,21 +102,21 @@ def encode_op(s: AnsState, t) -> AnsState:
             head = (head << WORD_BITS) | w
         else:
             head <<= WORD_BITS  # zero word from the pool
-    return _new_state(AnsState, (head, words))
+    return head, words
 
 
-def decode_peek(s: AnsState, n) -> int:
+def decode_peek(s: tuple, n) -> int:
     """Read the pending interval index in [0, n) without changing the state."""
     n = _int(n)
     if n < 1 or n > L:
         raise ContractError(f"precision {n} outside [1, {L}]")
-    head = s.head
+    head = s[0]
     if head >= _HALF and head >= n * (L // n) * B:
         head >>= WORD_BITS
     return head % n
 
 
-def decode_advance(s: AnsState, t) -> AnsState:
+def decode_advance(s: tuple, t) -> tuple:
     """Consume the interval ``t``; exact inverse of ``encode_op``.
 
     Requires decode_peek(s, t.n) to lie in [t.c, t.c + t.p).
@@ -178,23 +143,23 @@ def decode_advance(s: AnsState, t) -> AnsState:
             head <<= WORD_BITS  # synthesized zero word from the pool
         else:
             raise ContractError("cannot refill an exhausted state")
-    return _new_state(AnsState, (head, words))
+    return head, words
 
 
-def serialize(s: AnsState) -> bytes:
+def serialize(s: tuple) -> bytes:
     """Flatten to bytes: words bottom to top (32-bit BE), then 64-bit BE head."""
     stack = array("I")
-    w = s.words
+    w = s[1]
     while w:
         stack.append(w[0])
         w = w[1]
     stack.reverse()
     if sys.byteorder == "little":
         stack.byteswap()
-    return stack.tobytes() + s.head.to_bytes(8, "big")
+    return stack.tobytes() + s[0].to_bytes(8, "big")
 
 
-def deserialize(data: bytes) -> AnsState:
+def deserialize(data: bytes) -> tuple:
     """Inverse of ``serialize``. Bottom zero words are canonicalized away, and
     a head outside the canonical range ``[L, B*L)`` raises ``FormatError``."""
     if len(data) < 8 or len(data) % 4:
@@ -210,13 +175,13 @@ def deserialize(data: bytes) -> AnsState:
     for w in stack:
         if w or words:
             words = (w, words)
-    return AnsState(head, words)
+    return head, words
 
 
-def length_bits(s: AnsState) -> int:
+def length_bits(s: tuple) -> int:
     """Serialized size in bits: 64 for the head plus 32 per word."""
     k = 0
-    w = s.words
+    w = s[1]
     while w:
         k += 1
         w = w[1]

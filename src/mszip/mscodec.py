@@ -21,15 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ans import AnsState, decode_advance, decode_peek, encode_op, length_bits, \
-    state_new
+from .ans import decode_advance, decode_peek, encode_op, length_bits, state_new
 from .errors import FormatError
 from .multiset import FreqTree, Multiset, build_balanced
 
 _LN2 = math.log(2)
 
 
-def sample_encode(s: AnsState, tree: FreqTree, codec) -> AnsState:
+def sample_encode(s: tuple, tree: FreqTree, codec) -> tuple:
     """Drain ``tree`` onto ``s``: sample an occurrence, then encode its symbol."""
     remove, encode = tree.lookup_and_remove, codec.encode
     n = tree.total  # counted down here, not read back from the tree
@@ -40,7 +39,7 @@ def sample_encode(s: AnsState, tree: FreqTree, codec) -> AnsState:
     return s
 
 
-def sample_decode(s: AnsState, size, codec, tree: FreqTree) -> AnsState:
+def sample_decode(s: tuple, size, codec, tree: FreqTree) -> tuple:
     """Inverse of ``sample_encode``: decode ``size`` symbols into ``tree``."""
     insert, decode = tree.insert_and_lookup, codec.decode
     n = tree.total  # counted up here, not read back from the tree
@@ -52,12 +51,12 @@ def sample_decode(s: AnsState, size, codec, tree: FreqTree) -> AnsState:
     return s
 
 
-def encode_multiset(m: Multiset, codec) -> AnsState:
+def encode_multiset(m: Multiset, codec) -> tuple:
     """Encode ``m`` order-invariantly; every symbol must be codec-encodable."""
     return sample_encode(state_new(), build_balanced(m), codec)
 
 
-def decode_multiset(s: AnsState, size, codec) -> Multiset:
+def decode_multiset(s: tuple, size, codec) -> Multiset:
     """Rebuild the multiset of ``size`` symbols from a state made by
     ``encode_multiset`` with the same codec; a clean decode ends at the
     minimal state, and any residue raises ``FormatError``."""
@@ -68,7 +67,7 @@ def decode_multiset(s: AnsState, size, codec) -> Multiset:
     return tree.to_multiset()
 
 
-def encode_sequence(symbols, codec) -> AnsState:
+def encode_sequence(symbols, codec) -> tuple:
     """Order-keeping baseline: encode ``symbols`` in order, no sampling."""
     s = state_new()
     for sym in symbols:

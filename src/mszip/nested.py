@@ -20,9 +20,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 # encode_op and decode_advance are unused here; perfbench patches them by name.
-from .ans import AnsState, decode_advance, encode_op  # noqa: F401
+from .ans import decode_advance, encode_op  # noqa: F401
 from .errors import ContractError, FormatError, IngestError
 from .mscodec import decode_multiset, encode_multiset, encode_sequence, \
     sample_decode, sample_encode
@@ -152,7 +153,7 @@ class _RecordCodec:
         return s, Record(tree.to_multiset())
 
 
-def encode_nested(nm: NestedMultiset, pair_codec) -> tuple[AnsState, list[int]]:
+def encode_nested(nm: NestedMultiset, pair_codec) -> tuple[tuple, list[int]]:
     """Depth-first nested encode.
 
     Returns the final state and the inner sizes in the order the records were
@@ -162,14 +163,14 @@ def encode_nested(nm: NestedMultiset, pair_codec) -> tuple[AnsState, list[int]]:
     return encode_multiset(nm.records, _RecordCodec(pair_codec, sizes)), sizes
 
 
-def decode_nested(s: AnsState, inner_sizes, pair_codec) -> NestedMultiset:
+def decode_nested(s: tuple, inner_sizes, pair_codec) -> NestedMultiset:
     """Inverse of ``encode_nested``; ``inner_sizes`` must be in decode order
     (the reverse of the sizes list the encoder produced)."""
     codec = _RecordCodec(pair_codec, iter(inner_sizes))
     return NestedMultiset(decode_multiset(s, len(inner_sizes), codec))
 
 
-def sequence_state(nm: NestedMultiset, pair_codec) -> AnsState:
+def sequence_state(nm: NestedMultiset, pair_codec) -> tuple:
     """Order-keeping baseline: encode every pair of every record, no sampling."""
     pairs = (pair for rec in nm.records.expand() for pair in rec.pairs.expand())
     return encode_sequence(pairs, pair_codec)
@@ -245,12 +246,15 @@ def ingest_json(text) -> NestedMultiset:
 
 
 def canonical_json(nm: NestedMultiset) -> str:
-    """Serialize back to JSON text in canonical order, all values as strings."""
+    """Serialize back to JSON text in canonical order, all values as strings.
+
+    Keys and values are quoted by ``encode_basestring_ascii``, which is what
+    ``json.dumps`` returns for a string, without its per-call dispatch."""
     recs = []
     try:
         for rec, cnt in nm.records.pairs:
             fields = ",".join(
-                f"{json.dumps(k.decode('utf-8'))}:{json.dumps(v.decode('utf-8'))}"
+                f"{_json_str(k.decode('utf-8'))}:{_json_str(v.decode('utf-8'))}"
                 for k, v in rec.pairs.expand())
             recs.extend(["{" + fields + "}"] * cnt)
     except UnicodeDecodeError:

@@ -6,6 +6,8 @@ from .errors import FormatError
 def encode_uvarint(n: int) -> bytes:
     if n < 0:
         raise ValueError("varints are unsigned")
+    if n < 0x80:
+        return bytes((n,))
     out = bytearray()
     while True:
         b = n & 0x7F

@@ -63,11 +63,11 @@ def random_multiset(rng: random.Random, max_total=256, alphabet=1 << 16) -> Mult
 def fractional_bits(s) -> float:
     """Smooth state length, 32 * words + log2(head); for rate measurements."""
     k = 0
-    w = s.words
+    w = s[1]
     while w:
         k += 1
         w = w[1]
-    return WORD_BITS * k + math.log2(s.head)
+    return WORD_BITS * k + math.log2(s[0])
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,8 @@ def test_criterion_09_nested_bound():
             rng.shuffle(pairs)
             jumbled.append(Record(pairs))
         state2, sizes2 = encode_nested(NestedMultiset.from_records(jumbled), pc)
-        assert (state2, sizes2) == (state, sizes)
+        # states compare by their bytes: == on tuples recurses once per word
+        assert (serialize(state2), sizes2) == (serialize(state), sizes)
     _ok(9, f"nested savings {savings} of bound {bound:.0f} "
            f"({savings / bound:.1%}); shuffles bit-identical")
 
@@ -252,8 +253,8 @@ def _step_deltas(m, codec):
         i = decode_peek(s, n)
         sym, c, p = tree.lookup_and_remove(i)
         # replay the refill to count words drawn from the implicit pool
-        h = p * (s.head // n) + i - c
-        w = s.words
+        h = p * (s[0] // n) + i - c
+        w = s[1]
         synthesized = 0
         while h < L:
             if w:
@@ -265,7 +266,7 @@ def _step_deltas(m, codec):
         s = decode_advance(s, CodeTriple(c, p, n))
         # replay the spill to count zero words returned to the pool
         t = codec.triple(sym)
-        h, w = s.head, s.words
+        h, w = s
         limit = (L // t.n) * B * t.p
         returned = 0
         while h >= limit:

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mszip
 from helpers import ExactAnsState, fractional_bits, random_triple
-from mszip import (AnsState, B, CodeTriple, ContractError, FormatError, L,
-                   decode_advance, decode_peek, deserialize, encode_op,
-                   length_bits, serialize, state_new)
+from mszip import (B, CodeTriple, ContractError, FormatError, L, decode_advance,
+                   decode_peek, deserialize, encode_op, length_bits, serialize,
+                   state_new)
 
 
 def triples():
@@ -58,9 +59,10 @@ class TestExactFormulas:
 class TestStateBasics:
     def test_state_new(self):
         s = state_new()
-        assert s.head == L == 2**31
-        assert s.words == ()
+        assert s == (L, ()) and L == 2**31
+        assert type(s) is tuple and type(deserialize(serialize(s))) is tuple
         assert length_bits(s) == 64
+        assert not hasattr(mszip, "AnsState") and not hasattr(mszip.ans, "AnsState")
 
     def test_fresh_state_low_bits_are_zero(self):
         assert decode_peek(state_new(), 8) == 0
@@ -75,7 +77,7 @@ class TestStateBasics:
         assert len(data) == 8
 
     def test_two_words_serialize_to_16_bytes(self):
-        s = AnsState(L + 7, (0xDEADBEEF, (0x12345678, ())))
+        s = (L + 7, (0xDEADBEEF, (0x12345678, ())))
         data = serialize(s)
         assert len(data) == 16
         # bottom word first, head last
@@ -85,7 +87,7 @@ class TestStateBasics:
 
     def test_deserialize_strips_bottom_zero_words(self):
         raw = (0).to_bytes(4, "big") + (9).to_bytes(4, "big") + (L + 1).to_bytes(8, "big")
-        assert deserialize(raw) == AnsState(L + 1, (9, ()))
+        assert deserialize(raw) == (L + 1, (9, ()))
 
     @pytest.mark.parametrize("head", [0, L - 1, B * L, 2**64 - 1])
     def test_non_canonical_head_rejected(self, head):
@@ -149,10 +151,10 @@ class TestTripleValidation:
         for t in [(5, 3, 16), (0, 1, 1 << 20), (7, 1, 1 << 30), (2, 9, 12)]:
             want = encode_op(s, t)
             got = encode_op(s, tuple(map(convert, t)))
-            assert got == want and type(got) is AnsState
-            assert type(got.head) is int
+            assert got == want and type(got) is tuple
+            assert type(got[0]) is int
             back = decode_advance(got, tuple(map(convert, t)))
-            assert back == s and type(back.head) is int
+            assert back == s and type(back[0]) is int
             s = want
 
     def test_bool_triples_match_plain_ints(self):
@@ -202,11 +204,11 @@ class TestInversePair:
         n = 306783379
         m = n * (L // n)
         head = (m * B if offset >= 0 else B * L) + offset
-        s = AnsState(head, words)
+        s = (head, words)
         i = decode_peek(s, n)
         for t in (CodeTriple(i, 1, n), CodeTriple(max(0, i - 5), 11, n)):
             d = decode_advance(s, t)
-            assert L <= d.head < B * L
+            assert L <= d[0] < B * L
             assert encode_op(d, t) == s
 
     def test_fresh_state_sampling_is_bit_exact(self):
@@ -219,7 +221,7 @@ class TestInversePair:
 
     def test_exhausted_state_raises(self):
         with pytest.raises(ContractError):
-            decode_advance(AnsState(1, ()), CodeTriple(1, 1, 4))
+            decode_advance((1, ()), CodeTriple(1, 1, 4))
 
 
 class TestHeadRange:
@@ -231,11 +233,11 @@ class TestHeadRange:
         for t in ts:
             if rng.random() < 0.7:
                 s = encode_op(s, t)
-                assert L <= s.head < B * L
+                assert L <= s[0] < B * L
             else:
                 i = decode_peek(s, t.n)
                 s = decode_advance(s, CodeTriple(i, 1, t.n))
-                assert L <= s.head < B * L
+                assert L <= s[0] < B * L
 
     def test_dyadic_precisions_keep_canonical_range(self):
         rng = random.Random(11)
@@ -246,7 +248,7 @@ class TestHeadRange:
             p = 1 << rng.randint(0, k)
             c = rng.randrange(0, n - p + 1)
             s = encode_op(s, CodeTriple(c, p, n))
-            assert L <= s.head < B * L
+            assert L <= s[0] < B * L
 
 
 class TestRateBound:
@@ -290,13 +292,13 @@ class TestExactOracleEquivalence:
                 ts.append(t)
                 s = encode_op(s, t)
                 e = e.encode_op(t)
-                assert s.words == ()
-                assert s.head == e.value
+                assert s[1] == ()
+                assert s[0] == e.value
             for t in reversed(ts):
                 assert decode_peek(s, t.n) == e.decode_peek(t.n)
                 s = decode_advance(s, t)
                 e = e.decode_advance(t)
-                assert s.head == e.value
+                assert s[0] == e.value
 
 
 def run_stack_discipline_trial(rng: random.Random):

@@ -11,6 +11,7 @@ from mszip import (ByteStringCodec, Container, FormatError, Multiset, MszipError
                    decode_nested, deserialize, encode_multiset, encode_nested,
                    pack, serialize, unpack)
 from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED
+from mszip.varint import decode_uvarint, encode_uvarint
 
 
 class TestCrc32c:
@@ -162,3 +163,31 @@ class TestStrictDecode:
             data, lambda s, c, codec: decode_nested(
                 s, list(reversed(c.inner_sizes)), codec),
             nested_container)
+
+
+def _uvarint_loop(n):
+    """The general LEB128 loop, without the single-byte shortcut."""
+    out = bytearray()
+    while True:
+        b, n = n & 0x7F, n >> 7
+        out.append(b | 0x80 if n else b)
+        if not n:
+            return bytes(out)
+
+
+class TestVarint:
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 16383, 16384, 2**63 - 1])
+    def test_bytes_match_the_loop_and_decode_back(self, n):
+        data = encode_uvarint(n)
+        assert data == _uvarint_loop(n)
+        assert type(data) is bytes
+        assert decode_uvarint(data) == (n, len(data))
+
+    def test_single_byte_values(self):
+        assert encode_uvarint(0) == b"\x00"
+        assert encode_uvarint(127) == b"\x7f"
+        assert encode_uvarint(128) == b"\x80\x01"
+
+    def test_negative_raises(self):
+        with pytest.raises(ValueError):
+            encode_uvarint(-1)

@@ -7,11 +7,12 @@ import random
 import pytest
 
 from helpers import random_multiset, sample_decode_reference
-from mszip import (CodeTriple, FormatError, Multiset, QuantizedCategorical,
-                   UniformCodec, build_balanced, decode_advance, decode_multiset,
-                   decode_peek, encode_multiset, encode_op, info_content,
-                   length_bits, permutation_bits, rate_report, sample_decode,
-                   serialize, state_new)
+from mszip import (ByteStringCodec, CodeTriple, FormatError, Multiset,
+                   QuantizedCategorical, UniformCodec, build_balanced,
+                   decode_advance, decode_multiset, decode_peek, deserialize,
+                   encode_multiset, encode_op, info_content, length_bits,
+                   permutation_bits, rate_report, sample_decode, serialize,
+                   state_new)
 
 ABC = QuantizedCategorical.from_weights(["a", "b", "c"], [1, 1, 1], 1 << 16)
 
@@ -110,6 +111,20 @@ class TestResidualCheck:
         other = UniformCodec(32)
         with pytest.raises(FormatError, match="residual"):
             decode_multiset(state, m.total, other)
+
+    def test_wrong_count_on_a_deep_state_is_a_format_error(self):
+        # States are plain tuples, whose == recurses once per stack word; the
+        # residual check must stop at the head or the empty stack instead.
+        rng = random.Random(9)
+        m = Multiset.from_iterable(
+            [rng.randbytes(rng.randrange(400, 1024)) for _ in range(40)])
+        codec = ByteStringCodec(1023)
+        state = encode_multiset(m, codec)
+        assert length_bits(state) >= 64 + 32 * 5000
+        for s in (state, deserialize(serialize(state))):
+            for size in (0, 1, m.total // 2, m.total - 1, m.total + 1):
+                with pytest.raises(FormatError, match="residual"):
+                    decode_multiset(s, size, codec)
 
 
 class TestInformationContent:

@@ -193,6 +193,15 @@ class TestCanonicalJson:
     def test_empty(self):
         assert canonical_json(NestedMultiset.from_records([])) == "[]"
 
+    @pytest.mark.parametrize("text", [
+        "", "plain", 'say "hi"', "back\\slash", "\x00\x01\x1f\x7f\t\n\r\b\f",
+        "caf\u00e9 \u4e2d\u6587", "\U0001f600 \U00010348", "/</script>\u2028",
+    ])
+    def test_strings_quoted_as_json_dumps_does(self, text):
+        nm = NestedMultiset.from_records([Record([(text.encode(), text.encode())])])
+        want = json.dumps(text)
+        assert canonical_json(nm) == f"[{{{want}:{want}}}]"
+
     def test_invalid_utf8_is_a_format_error(self):
         nm = NestedMultiset.from_records([Record([(b"k", b"\xff")])])
         with pytest.raises(FormatError, match="UTF-8"):

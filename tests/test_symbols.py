@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import (byte_string_decode_chain, byte_string_encode_chain,
                      categorical_decode_reference, categorical_encode_reference,
                      fractional_bits)
-from mszip import (AnsState, B, ByteStringCodec, CapacityError, CodeTriple,
+from mszip import (B, ByteStringCodec, CapacityError, CodeTriple,
                    ContractError, NotFoundError, PairCodec, QuantizedCategorical,
                    UniformCodec, ans, decode_peek, quantize_pmf, state_new, symbols)
 
@@ -107,9 +107,9 @@ class TestCategorical:
                 stack = ()
                 for k in range(words):  # the bottom word is nonzero
                     stack = (rng.randrange(k == 0, B), stack)
-                s = AnsState(head, stack)
+                s = (head, stack)
                 where = (codec.precision, head, words)
-                assert s.head & (codec.precision - 1) == decode_peek(s, codec.precision)
+                assert s[0] & (codec.precision - 1) == decode_peek(s, codec.precision)
                 assert codec.decode(s) == categorical_decode_reference(codec, s), where
                 for sym in codec.alphabet:
                     assert codec.encode(s, sym) == \
@@ -273,7 +273,7 @@ class TestByteStringCodec:
         payloads = [rng.randbytes(k) for k in [*range(10), 1024]]
         for head in heads:
             for words in stacks:
-                s = AnsState(head, words)
+                s = (head, words)
                 for p in payloads:
                     want = byte_string_encode_chain(codec, s, p)
                     assert codec.encode(s, p) == want, (head, words, len(p))
