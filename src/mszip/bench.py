@@ -211,14 +211,13 @@ def default_prefixes(n: int) -> list[int]:
     return ks
 
 
-def json_rows(text, repetitions: int = 1, prefixes=None, max_len=None) -> list[dict]:
+def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
     """Measure nested compression on growing prefixes of a JSON collection."""
     records = ingest_json_records(text)
     if not records:
         raise ContractError("no records to benchmark")
-    if max_len is None:
-        max_len = max((len(f) for r in records for p in r.pairs.expand() for f in p),
-                      default=0)
+    max_len = max((len(f) for r in records for p in r.pairs.expand() for f in p),
+                  default=0)
     pc = PairCodec(max_len)
     rows = []
     for k in prefixes if prefixes is not None else default_prefixes(len(records)):

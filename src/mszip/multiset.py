@@ -8,10 +8,11 @@ consistent total order (ints, bytes, tuples of bytes, ...).
 node stores the total number of occurrences in its subtree; a node's own
 count is its total minus its children's totals. Reading the tree left to
 right lays the occurrences out on the index line [0, total), each symbol
-owning the contiguous interval [c, c + p). ``forward_lookup`` maps a symbol
-to its interval, ``reverse_lookup`` maps an index back to (symbol, c, p), and
-the fused ``lookup_and_remove`` / ``insert_and_lookup`` update branch totals
-on the way down so that lookup and mutation cost one root-to-node pass.
+owning the contiguous interval [c, c + p). ``insert_and_lookup`` and
+``lookup_and_remove`` add 1 and -1 to the branch totals on the way down, so
+lookup and mutation cost one root-to-node pass; the read-only
+``forward_lookup`` (symbol to (c, p)) and ``reverse_lookup`` (index to
+(symbol, c, p)) are the same two walks with a zero step.
 
 Trees count the nodes they touch (``visits``/``ops``) so complexity claims
 can be checked empirically.
@@ -77,81 +78,12 @@ class _Node:
         self.right = None
 
 
-class FreqTree:
-    """Branch-total BST over the remaining occurrences of a multiset."""
+def _index_walk(step, doc):
+    """The walk to the node whose interval holds index ``i``, adding ``step``
+    to each branch total it passes. It reads a right total only when ``i``
+    lies past the left subtree, and shifts ``i`` past each interval."""
 
-    __slots__ = ("root", "visits", "ops")
-
-    def __init__(self):
-        self.root = None
-        self.visits = 0  # nodes touched, cumulative across operations
-        self.ops = 0
-
-    @property
-    def total(self) -> int:
-        return self.root.total if self.root is not None else 0
-
-    def forward_lookup(self, sym):
-        """Return (c, p): occurrences ordered before ``sym``, and its count."""
-        node = self.root
-        offset = 0
-        seen = 0
-        while node is not None:
-            seen += 1
-            lt = node.left.total if node.left is not None else 0
-            if sym < node.sym:
-                node = node.left
-            elif sym > node.sym:
-                rt = node.right.total if node.right is not None else 0
-                offset += node.total - rt  # left interval plus own count
-                node = node.right
-            else:
-                rt = node.right.total if node.right is not None else 0
-                self.visits += seen
-                self.ops += 1
-                return offset + lt, node.total - lt - rt
-        self.visits += seen
-        self.ops += 1
-        raise NotFoundError(sym)
-
-    def reverse_lookup(self, i):
-        """Return (sym, c, p) for the unique interval containing ``i``."""
-        i = _int(i)
-        if not 0 <= i < self.total:
-            raise ContractError(f"index {i} outside [0, {self.total})")
-        node = self.root
-        offset = 0
-        seen = 0
-        while True:
-            seen += 1
-            lt = node.left.total if node.left is not None else 0
-            rt = node.right.total if node.right is not None else 0
-            cnt = node.total - lt - rt
-            if i < lt:
-                node = node.left
-            elif i < lt + cnt:
-                self.visits += seen
-                self.ops += 1
-                return node.sym, offset + lt, cnt
-            else:
-                i -= lt + cnt
-                offset += lt + cnt
-                node = node.right
-
-    def lookup_and_remove(self, i):
-        """Remove one occurrence of the symbol whose interval holds ``i``.
-
-        Returns (sym, c, p) as of before the removal. Branch totals along the
-        search path are decremented on the way down. Nodes are never
-        unlinked: a symbol whose count reaches zero keeps its node, which
-        owns an empty interval that later walks pass over, so the tree keeps
-        its shape.
-
-        It visits the nodes ``reverse_lookup`` visits, but walks differently:
-        it reads a node's left total first and descends left on that alone,
-        reads the right total only when the index lies past the left
-        subtree, and shifts ``i`` as it passes each interval.
-        """
+    def walk(self, i):
         i = _int(i)
         root = self.root
         if not 0 <= i < (root.total if root is not None else 0):
@@ -162,7 +94,7 @@ class FreqTree:
         while True:
             seen += 1
             tot = node.total
-            node.total = tot - 1
+            node.total = tot + step
             left = node.left
             if left is not None:
                 lt = left.total
@@ -183,8 +115,15 @@ class FreqTree:
             offset += tot
             node = right
 
-    def insert_and_lookup(self, sym):
-        """Add one occurrence of ``sym``; return (c, p) after the insert."""
+    walk.__doc__ = doc
+    return walk
+
+
+def _symbol_walk(step, doc):
+    """The walk to the node of ``sym``, adding ``step`` to each branch total
+    it passes. A miss attaches a new leaf, or raises if ``step`` is 0."""
+
+    def walk(self, sym):
         parent = None
         node = self.root
         offset = 0
@@ -192,7 +131,7 @@ class FreqTree:
         while node is not None:
             seen += 1
             tot = node.total
-            node.total = tot + 1
+            node.total = tot + step
             key = node.sym
             if sym < key:
                 parent, node = node, node.left
@@ -206,7 +145,11 @@ class FreqTree:
                 rt = right.total if right is not None else 0
                 self.visits += seen
                 self.ops += 1
-                return offset + lt, tot + 1 - lt - rt
+                return offset + lt, tot + step - lt - rt
+        self.ops += 1
+        if not step:
+            self.visits += seen
+            raise NotFoundError(sym)
         leaf = _Node(sym, 1)
         if parent is None:
             self.root = leaf
@@ -215,8 +158,39 @@ class FreqTree:
         else:
             parent.right = leaf
         self.visits += seen + 1
-        self.ops += 1
         return offset, 1
+
+    walk.__doc__ = doc
+    return walk
+
+
+class FreqTree:
+    """Branch-total BST over the remaining occurrences of a multiset."""
+
+    __slots__ = ("root", "visits", "ops")
+
+    def __init__(self):
+        self.root = None
+        self.visits = 0  # nodes touched, cumulative across operations
+        self.ops = 0
+
+    @property
+    def total(self) -> int:
+        return self.root.total if self.root is not None else 0
+
+    forward_lookup = _symbol_walk(0, """Return (c, p): occurrences ordered
+        before ``sym``, and its count (0 once drained); ``NotFoundError`` if
+        ``sym`` has no node.""")
+    reverse_lookup = _index_walk(0, """Return (sym, c, p) for the unique
+        interval containing ``i``.""")
+    lookup_and_remove = _index_walk(-1, """Remove one occurrence of the
+        symbol whose interval holds ``i``; return (sym, c, p) as of before.
+
+        Nodes are never unlinked: a symbol whose count reaches zero keeps its
+        node, which owns an empty interval that later walks pass over, so the
+        tree keeps its shape.""")
+    insert_and_lookup = _symbol_walk(1, """Add one occurrence of ``sym``;
+        return (c, p) after the insert.""")
 
     def to_multiset(self) -> Multiset:
         """In-order traversal back to canonical form."""

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import linear_forward, linear_reverse
@@ -208,6 +208,51 @@ class TestInsert:
         sym, _, _ = t.lookup_and_remove(i)
         t.insert_and_lookup(sym)
         assert t.to_multiset() == m
+
+
+class TestReadOnlyLookupsOnDrainedTrees:
+    """The read-only lookups on a tree whose nodes were drained and refilled
+    agree with the oracle and leave every branch total as it was."""
+
+    @given(multisets(max_unique=24, max_count=4), st.lists(st.integers(0, 1000), max_size=12),
+           st.randoms(use_true_random=False))
+    def test_lookups_match_oracle_and_do_not_mutate(self, m, extra, rng):
+        t = build_balanced(m)
+        for _ in range(m.total // 2):
+            t.lookup_and_remove(rng.randrange(t.total))
+        for sym in extra:
+            t.insert_and_lookup(sym)
+        current = t.to_multiset()
+        counts = dict(current.pairs)
+        nodes = _nodes(t)
+        totals = {key: node.total for key, node in nodes.items()}
+        for sym, _ in current.pairs:
+            assert t.forward_lookup(sym) == linear_forward(current.pairs, sym)
+        for i in range(current.total):
+            assert t.reverse_lookup(i) == linear_reverse(current.pairs, i)
+        for node in nodes.values():  # drained nodes own an empty interval
+            if node.sym not in counts:
+                before = sum(cnt for sym, cnt in current.pairs if sym < node.sym)
+                assert t.forward_lookup(node.sym) == (before, 0)
+        assert {key: node.total for key, node in _nodes(t).items()} == totals
+
+    @given(multisets(max_unique=24, max_count=4), st.integers(-5, 1005),
+           st.randoms(use_true_random=False))
+    def test_missing_symbol_counts_its_path_and_attaches_nothing(self, m, sym, rng):
+        t = build_balanced(m)
+        for _ in range(m.total // 2):
+            t.lookup_and_remove(rng.randrange(t.total))
+        nodes = _nodes(t)
+        assume(all(node.sym != sym for node in nodes.values()))
+        path, node = 0, t.root
+        while node is not None:
+            path += 1
+            node = node.left if sym < node.sym else node.right
+        visits, ops = t.visits, t.ops
+        with pytest.raises(NotFoundError):
+            t.forward_lookup(sym)
+        assert (t.visits - visits, t.ops - ops) == (path, 1)
+        assert _nodes(t).keys() == nodes.keys()
 
 
 class TestVisitInstrumentation:

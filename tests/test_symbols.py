@@ -13,7 +13,8 @@ from helpers import (byte_string_decode_chain, byte_string_encode_chain,
                      fractional_bits)
 from mszip import (B, ByteStringCodec, CapacityError, CodeTriple,
                    ContractError, NotFoundError, PairCodec, QuantizedCategorical,
-                   UniformCodec, ans, decode_peek, quantize_pmf, state_new, symbols)
+                   UniformCodec, ans, decode_peek, deserialize, quantize_pmf,
+                   serialize, state_new, symbols)
 
 
 class TestQuantizePmf:
@@ -212,6 +213,17 @@ class TestByteStringCodec:
         grown += fractional_bits(s)
         assert grown == pytest.approx(800 + 8, abs=0.01)
         assert codec.bits(payload) == 808
+
+    def test_state_does_not_bound_a_payload_length(self):
+        # Zero words spilled onto an empty stack rejoin the pool, so a long
+        # payload of zeros leaves the minimal-size state: any cap on the
+        # decoded length must come from the caller, not from the state.
+        codec = ByteStringCodec(100_000)
+        data = serialize(codec.encode(state_new(), bytes(100_000)))
+        assert len(data) == 8
+        s, got = codec.decode(deserialize(data))
+        assert got == bytes(100_000)
+        assert s == state_new()
 
     def test_too_long_rejected(self):
         with pytest.raises(CapacityError):
