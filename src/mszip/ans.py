@@ -11,7 +11,10 @@ encoding can land the head in ``[N*(L//N), L)``, so ``encode_op`` then pulls
 one word back into it; ``decode_peek`` and ``decode_advance`` undo that by
 first spilling one word from a head at or above ``N*(L//N)*B``. Since
 ``N*(L//N) > L/2`` for every ``N``, heads below ``B*L/2`` skip that check, and
-power-of-two precisions never take either branch.
+power-of-two precisions never take either branch. A uniform op (``p == 1``:
+every byte-codec op, every ``UniformCodec`` op, and every sampling step of a
+symbol with count 1) skips the division by ``p``: encode is ``head * n + c``
+and decode is ``head // n``.
 
 States are immutable: an operation returns a new tuple that shares the
 untouched part of the stack with its input. Tuple equality recurses once per
@@ -95,7 +98,10 @@ def encode_op(s: tuple, t) -> tuple:
         if w or words:
             words = (w, words)
         # else: a zero word pushed onto the empty stack rejoins the pool
-    head = n * (head // p) + c + head % p
+    if p == 1:
+        head = head * n + c
+    else:
+        head = n * (head // p) + c + head % p
     if head < L:  # only after a spill, when n does not divide L
         if words:
             w, words = words
@@ -134,7 +140,10 @@ def decode_advance(s: tuple, t) -> tuple:
     i = head % n
     if not c <= i < c + p:
         raise ContractError(f"peek index {i} outside [{c}, {c + p})")
-    head = p * (head // n) + i - c
+    if p == 1:  # i == c after the check above
+        head //= n
+    else:
+        head = p * (head // n) + i - c
     while head < L:
         if words:
             w, words = words

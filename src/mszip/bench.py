@@ -2,15 +2,15 @@
 
 Synthetic runs draw a skewed source from a Dirichlet prior with concentration
 alpha_k = k over the alphabet, generate a multiset with an exact number of
-unique symbols, and measure rate and wall time for a full encode + decode.
+unique symbols, and measure rate and time for a full encode + decode.
 Timing covers tree build, sampling, and coding; data generation, codec
 construction, and I/O are excluded, and the garbage collector is kept out. A
-synthetic time is the median of five runs taken in five sweeps over the
-sizes, so that drift in machine speed moves the sizes alike, and each run is
-scaled to a reference machine speed measured by a fixed loop timed twice
-right before and twice right after it (see ``calibrate``). Everything is
-seed-deterministic, so a repeated run reproduces every column except the time
-ones.
+synthetic time is the median of five runs taken in five sweeps over every
+(alphabet, repetition, size) multiset, so that drift in machine speed moves
+them alike, and each run is timed on this thread's CPU clock
+(``time.thread_time``), which time spent waiting while other processes run
+does not inflate. Everything is seed-deterministic, so a repeated run
+reproduces every column except the time ones.
 
 The fixed-unique-count generator works support-first: it picks the support of
 ``unique`` distinct symbols by weighted sampling without replacement (Gumbel
@@ -120,18 +120,6 @@ def _subseed(*parts) -> np.random.SeedSequence:
     return np.random.SeedSequence(list(parts))
 
 
-CAL_REF_S = 0.0135  # calibrate() on the reference machine (2-vCPU VM, Python 3.11)
-
-
-def calibrate() -> float:
-    """Seconds for a fixed pure-Python loop: the machine's speed right now."""
-    t0 = time.perf_counter()
-    d = {}
-    for i in range(100_000):
-        d[i & 1023] = (i, i * i)
-    return time.perf_counter() - t0
-
-
 @contextmanager
 def _gc_paused():
     gc.collect()
@@ -144,58 +132,58 @@ def _gc_paused():
 
 def _round_trip(m: Multiset, codec):
     """Encode and decode ``m`` once; return the state, the encoder and decoder
-    trees, and the encode and decode seconds at the reference speed."""
+    trees, and the encode and decode seconds of this thread's CPU time."""
     dtree = FreqTree()
     with _gc_paused():
-        cal = [calibrate(), calibrate()]
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         etree = build_balanced(m)
         state = sample_encode(state_new(), etree, codec)
-        t1 = time.perf_counter()
+        t1 = time.thread_time()
         sample_decode(state, m.total, codec, dtree)
         out = dtree.to_multiset()
-        t2 = time.perf_counter()
-        cal += [calibrate(), calibrate()]
+        t2 = time.thread_time()
     if out != m:
         raise RuntimeError("round-trip mismatch in benchmark")
-    scale = CAL_REF_S / median(cal)
-    return state, etree, dtree, (t1 - t0) * scale, (t2 - t1) * scale
+    return state, etree, dtree, t1 - t0, t2 - t1
 
 
 def synthetic_rows(cfg: BenchConfig) -> list[dict]:
     cfg.validate()
-    rows = []
+    groups = []
     for a in cfg.alphabet_sizes:
         pmf = gen_dirichlet_source(a, _subseed(cfg.seed, a))
         precision = _precision_for(a)
         codec = QuantizedCategorical.from_weights(range(a), pmf, precision)
         for rep in range(cfg.repetitions):
-            ms = [gen_fixed_unique_multiset(pmf, cfg.unique_symbols, size,
-                                            _subseed(cfg.seed, a, size, rep))
-                  for size in cfg.sizes]
-            sweeps = [[_round_trip(m, codec) for m in ms] for _ in range(5)]
-            for m, runs in zip(ms, zip(*sweeps)):
-                state, etree, dtree, _, _ = runs[-1]
-                compressed = length_bits(state)
-                sequence = length_bits(encode_sequence(m.expand(), codec))
-                rows.append({
-                    "alphabet_size": a,
-                    "multiset_size": m.total,
-                    "unique_symbols": cfg.unique_symbols,
-                    "repetition": rep,
-                    "seed": cfg.seed,
-                    "precision": precision,
-                    "compressed_bits": compressed,
-                    "info_bits": round(info_content(m, codec), 3),
-                    "sequence_bits": sequence,
-                    "savings_bits": sequence - compressed,
-                    "encode_s": round(median(r[3] for r in runs), 6),
-                    "decode_s": round(median(r[4] for r in runs), 6),
-                    "encoder_visits": etree.visits,
-                    "encoder_ops": etree.ops,
-                    "decoder_visits": dtree.visits,
-                    "decoder_ops": dtree.ops,
-                })
+            for size in cfg.sizes:
+                m = gen_fixed_unique_multiset(pmf, cfg.unique_symbols, size,
+                                              _subseed(cfg.seed, a, size, rep))
+                groups.append((a, precision, codec, rep, m))
+    sweeps = [[_round_trip(m, codec) for _, _, codec, _, m in groups]
+              for _ in range(5)]
+    rows = []
+    for (a, precision, codec, rep, m), runs in zip(groups, zip(*sweeps)):
+        state, etree, dtree, _, _ = runs[-1]
+        compressed = length_bits(state)
+        sequence = length_bits(encode_sequence(m.expand(), codec))
+        rows.append({
+            "alphabet_size": a,
+            "multiset_size": m.total,
+            "unique_symbols": cfg.unique_symbols,
+            "repetition": rep,
+            "seed": cfg.seed,
+            "precision": precision,
+            "compressed_bits": compressed,
+            "info_bits": round(info_content(m, codec), 3),
+            "sequence_bits": sequence,
+            "savings_bits": sequence - compressed,
+            "encode_s": round(median(r[3] for r in runs), 6),
+            "decode_s": round(median(r[4] for r in runs), 6),
+            "encoder_visits": etree.visits,
+            "encoder_ops": etree.ops,
+            "decoder_visits": dtree.visits,
+            "decoder_ops": dtree.ops,
+        })
     return rows
 
 

@@ -25,6 +25,7 @@ a mismatched or truncated container fails loudly before any decode starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from struct import iter_unpack
 
 from .errors import FormatError
 from .nested import PairCodec
@@ -41,7 +42,9 @@ KIND_FLAT = 0
 KIND_NESTED = 1
 
 
-def _make_crc_table():
+def _make_crc_tables():
+    """Slicing-by-8 tables: ``tables[k][b]`` is the CRC register after byte
+    ``b`` and then ``k`` zero bytes, so ``tables[0]`` is the byte table."""
     poly = 0x82F63B78  # Castagnoli, reflected
     table = []
     for k in range(256):
@@ -49,18 +52,32 @@ def _make_crc_table():
         for _ in range(8):
             crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
         table.append(crc)
-    return table
+    tables = [table]
+    for _ in range(7):
+        tables.append([(v >> 8) ^ table[v & 0xFF] for v in tables[-1]])
+    return tables
 
 
-_CRC_TABLE = _make_crc_table()
+_CRC_TABLES = _make_crc_tables()
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C (Castagnoli). Not zlib.crc32, which uses the IEEE polynomial."""
-    table = _CRC_TABLE
+    """CRC-32C (Castagnoli). Not zlib.crc32, which uses the IEEE polynomial.
+
+    Slicing-by-8 (Kounavis & Berry 2005): each step folds eight bytes, the
+    first four as a little-endian word into the register and the last four
+    by table alone, then the tail goes byte by byte.
+    """
+    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
     crc ^= 0xFFFFFFFF
-    for b in data:
-        crc = (crc >> 8) ^ table[(crc ^ b) & 0xFF]
+    data = memoryview(data)
+    n = len(data) & ~7
+    for w, b4, b5, b6, b7 in iter_unpack("<I4B", data[:n]):
+        w ^= crc
+        crc = (t7[w & 0xFF] ^ t6[(w >> 8) & 0xFF] ^ t5[(w >> 16) & 0xFF]
+               ^ t4[w >> 24] ^ t3[b4] ^ t2[b5] ^ t1[b6] ^ t0[b7])
+    for b in data[n:]:
+        crc = (crc >> 8) ^ t0[(crc ^ b) & 0xFF]
     return crc ^ 0xFFFFFFFF
 
 

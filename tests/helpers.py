@@ -150,3 +150,25 @@ def sample_decode_reference(s, size, codec, tree):
         c, p = tree.insert_and_lookup(sym)
         s = encode_op(s, CodeTriple(c, p, tree.total))
     return s
+
+
+def _crc32c_table():
+    poly = 0x82F63B78  # Castagnoli, reflected
+    table = []
+    for k in range(256):
+        crc = k
+        for _ in range(8):
+            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_CRC32C_TABLE = _crc32c_table()
+
+
+def crc32c_reference(data, crc=0):
+    """CRC-32C one byte per step. The oracle for ``container.crc32c``."""
+    crc ^= 0xFFFFFFFF
+    for b in data:
+        crc = (crc >> 8) ^ _CRC32C_TABLE[(crc ^ b) & 0xFF]
+    return crc ^ 0xFFFFFFFF

@@ -224,6 +224,93 @@ class TestInversePair:
             decode_advance((1, ()), CodeTriple(1, 1, 4))
 
 
+UNIFORM_NS = (1, 2, 3, 255, 256, 1 << 24, L - 1, L)
+
+
+def _spill_then_exact(s, t):
+    """``encode_op`` with the head arithmetic of ``ExactAnsState`` inside the
+    documented spill loop and pull-back; also says whether it pulled back."""
+    _, p, n = t
+    head, words = s
+    while head >= (L // n) * B * p:
+        head, w = divmod(head, B)
+        if w or words:
+            words = (w, words)
+    head = ExactAnsState(head).encode_op(t).value
+    pulled = head < L
+    if pulled:
+        w, words = words if words else (0, ())
+        head = head * B + w
+    return (head, words), pulled
+
+
+def _exact_then_refill(s, t):
+    """``decode_advance`` with the head arithmetic of ``ExactAnsState``."""
+    n = t[2]
+    head, words = s
+    if head >= n * (L // n) * B:
+        head, w = divmod(head, B)
+        if w or words:
+            words = (w, words)
+    head = ExactAnsState(head).decode_advance(t).value
+    while head < L:
+        w, words = words if words else (0, ())
+        head = head * B + w
+    return head, words
+
+
+class TestUniformOps:
+    """Ops with p == 1 skip the division by p; they must still be the
+    coding equations inside the same spill, refill and pull-back."""
+
+    @pytest.mark.parametrize("words", [(), (7, (1 << 31, ()))])
+    @pytest.mark.parametrize("n", UNIFORM_NS)
+    def test_encode_then_decode_match_the_exact_coder(self, n, words):
+        rng = random.Random(n)
+        heads = [L, B * L - 1, (L // n) * B - 1, (L // n) * B,
+                 n * (L // n) * B - 1, n * (L // n) * B]
+        heads += [rng.randrange(L, B * L) for _ in range(200)]
+        for head in heads:
+            if not L <= head < B * L:
+                continue
+            s = (head, words)
+            for c in {0, n - 1, rng.randrange(n)}:
+                t = (c, 1, n)
+                e = encode_op(s, t)
+                assert e == _spill_then_exact(s, t)[0]
+                assert L <= e[0] < B * L
+                assert decode_peek(e, n) == c
+                assert decode_advance(e, t) == s
+                i = decode_peek(s, n)
+                d = decode_advance(s, (i, 1, n))
+                assert d == _exact_then_refill(s, (i, 1, n))
+                assert encode_op(d, (i, 1, n)) == s
+
+    @pytest.mark.parametrize("words", [(), (7, ())])
+    @pytest.mark.parametrize("n", [n for n in UNIFORM_NS if L % n])
+    def test_pull_back_when_n_does_not_divide_L(self, n, words):
+        # one spill leaves head >> 32 == L // n, and any c < L % n then
+        # lands the head below L, so encode pulls a word back
+        rng = random.Random(n)
+        for _ in range(50):
+            s = ((L // n) * B + rng.randrange(B), words)
+            t = (rng.randrange(L % n), 1, n)
+            expected, pulled = _spill_then_exact(s, t)
+            assert pulled
+            e = encode_op(s, t)
+            assert e == expected
+            assert decode_advance(e, t) == s
+
+    @pytest.mark.parametrize("n", [n for n in UNIFORM_NS if n > 1])
+    def test_decode_with_another_index_raises(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            s = (rng.randrange(L, B * L), (5, ()))
+            i = decode_peek(s, n)
+            with pytest.raises(ContractError):
+                decode_advance(s, ((i + rng.randrange(1, n)) % n, 1, n))
+
+
 class TestHeadRange:
     @settings(max_examples=300)
     @given(st.lists(triples(), min_size=1, max_size=50))

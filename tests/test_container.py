@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import crc32c_reference
 from mszip import (ByteStringCodec, Container, FormatError, Multiset, MszipError,
                    NestedMultiset, PairCodec, QuantizedCategorical, Record,
                    codec_blob, codec_from_blob, crc32c, decode_multiset,
@@ -26,6 +27,27 @@ class TestCrc32c:
         base = crc32c(data)
         flipped = bytes([data[0] ^ 1]) + data[1:]
         assert crc32c(flipped) != base
+
+    def test_matches_the_byte_loop(self):
+        rng = random.Random(32)
+        for n in range(65):  # every tail length, around 0 to 8 whole words
+            data = rng.randbytes(n)
+            assert crc32c(data) == crc32c_reference(data), n
+        data = rng.randbytes(4096)
+        assert crc32c(data) == crc32c_reference(data)
+
+    def test_continuation_at_unaligned_splits(self):
+        data = random.Random(33).randbytes(4096)
+        whole = crc32c(data)
+        for k in (1, 3, 7, 9, 13, 100, 4095):
+            assert crc32c(data[k:], crc32c(data[:k])) == whole, k
+
+    def test_buffer_types_agree(self):
+        data = random.Random(34).randbytes(1001)
+        base = crc32c(data)
+        assert crc32c(bytearray(data)) == base
+        assert crc32c(memoryview(data)) == base
+        assert crc32c(memoryview(data)[5:]) == crc32c(data[5:])
 
 
 def flat_container(payloads=(b"one", b"two", b"two"), max_len=64):
