@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index as _int
 
-from .ans import decode_advance, decode_peek, encode_op, length_bits, state_new
-from .errors import FormatError
+from .ans import (_HALF, WORD_BITS, B, L, decode_advance, encode_op, length_bits,
+                  state_new)
+from .errors import ContractError, FormatError
 from .multiset import FreqTree, Multiset, build_balanced
 
 _LN2 = math.log(2)
@@ -33,7 +35,10 @@ def sample_encode(s: tuple, tree: FreqTree, codec) -> tuple:
     remove, encode = tree.lookup_and_remove, codec.encode
     n = tree.total  # counted down here, not read back from the tree
     while n:
-        sym, c, p = remove(decode_peek(s, n))
+        head = s[0]  # decode_peek(s, n), inline: skip the word encode pulled back
+        if head >= _HALF and head >= n * (L // n) * B:
+            head >>= WORD_BITS
+        sym, c, p = remove(head % n)
         s = encode(decode_advance(s, (c, p, n)), sym)
         n -= 1
     return s
@@ -41,6 +46,12 @@ def sample_encode(s: tuple, tree: FreqTree, codec) -> tuple:
 
 def sample_decode(s: tuple, size, codec, tree: FreqTree) -> tuple:
     """Inverse of ``sample_encode``: decode ``size`` symbols into ``tree``."""
+    try:
+        size = _int(size)
+    except TypeError:
+        raise ContractError(f"size must be an integer, got {size!r}") from None
+    if size < 0:
+        raise ContractError(f"size must be >= 0, got {size}")
     insert, decode = tree.insert_and_lookup, codec.decode
     n = tree.total  # counted up here, not read back from the tree
     for _ in range(size):

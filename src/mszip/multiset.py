@@ -1,16 +1,18 @@
-"""Canonical multisets and the branch-total search tree that samples them.
+"""Canonical multisets and the order-statistic search tree that samples them.
 
 A ``Multiset`` is the canonical frequency map: (symbol, count) pairs with
 strictly increasing symbols and positive counts. Symbols only need a
 consistent total order (ints, bytes, tuples of bytes, ...).
 
 ``FreqTree`` is a binary search tree over the distinct symbols where every
-node stores the total number of occurrences in its subtree; a node's own
-count is its total minus its children's totals. Reading the tree left to
-right lays the occurrences out on the index line [0, total), each symbol
-owning the contiguous interval [c, c + p). ``insert_and_lookup`` and
-``lookup_and_remove`` add 1 and -1 to the branch totals on the way down, so
-lookup and mutation cost one root-to-node pass; the read-only
+node stores its own count and the number of occurrences in its left subtree
+(the cumulative-frequency idea of Fenwick 1994), and the tree keeps the total
+count. Reading the tree left to right lays the occurrences out on the index
+line [0, total), each symbol owning the contiguous interval [c, c + p). A walk
+decides each level from one count: the left count, then the node's own.
+``insert_and_lookup`` and ``lookup_and_remove`` add 1 and -1 to the left
+counts they pass on the way down, to the count they stop at and to the total,
+so lookup and mutation cost one root-to-node pass; the read-only
 ``forward_lookup`` (symbol to (c, p)) and ``reverse_lookup`` (index to
 (symbol, c, p)) are the same two walks with a zero step.
 
@@ -69,83 +71,78 @@ class Multiset:
 
 
 class _Node:
-    __slots__ = ("sym", "total", "left", "right")
+    __slots__ = ("sym", "lt", "cnt", "left", "right")
 
-    def __init__(self, sym, total):
+    def __init__(self, sym, cnt):
         self.sym = sym
-        self.total = total
+        self.lt = 0  # occurrences in the left subtree
+        self.cnt = cnt  # own occurrences, 0 once drained
         self.left = None
         self.right = None
 
 
 def _index_walk(step, doc):
     """The walk to the node whose interval holds index ``i``, adding ``step``
-    to each branch total it passes. It reads a right total only when ``i``
-    lies past the left subtree, and shifts ``i`` past each interval."""
+    to each left count it passes and to the count it stops at. One count per
+    level decides the way, and ``i`` shifts past each interval it passes."""
 
     def walk(self, i):
         i = _int(i)
-        root = self.root
-        if not 0 <= i < (root.total if root is not None else 0):
+        if not 0 <= i < self.total:
             raise ContractError(f"index {i} outside [0, {self.total})")
-        node = root
+        self.total += step
+        node = self.root
         offset = 0
         seen = 0
         while True:
             seen += 1
-            tot = node.total
-            node.total = tot + step
-            left = node.left
-            if left is not None:
-                lt = left.total
-                if i < lt:
-                    node = left
-                    continue
-                i -= lt
-                offset += lt
-                tot -= lt
-            right = node.right
-            if right is not None:
-                tot -= right.total  # now the node's own count
-            if i < tot:
+            lt = node.lt
+            if i < lt:
+                node.lt = lt + step
+                node = node.left
+                continue
+            i -= lt
+            offset += lt
+            cnt = node.cnt
+            if i < cnt:
+                node.cnt = cnt + step
                 self.visits += seen
                 self.ops += 1
-                return node.sym, offset, tot
-            i -= tot
-            offset += tot
-            node = right
+                return node.sym, offset, cnt
+            i -= cnt
+            offset += cnt
+            node = node.right
 
     walk.__doc__ = doc
     return walk
 
 
 def _symbol_walk(step, doc):
-    """The walk to the node of ``sym``, adding ``step`` to each branch total
-    it passes. A miss attaches a new leaf, or raises if ``step`` is 0."""
+    """The walk to the node of ``sym``, adding ``step`` to each left count it
+    passes and to the count it stops at. A miss attaches a new leaf, or raises
+    if ``step`` is 0."""
 
     def walk(self, sym):
+        self.total += step
         parent = None
         node = self.root
         offset = 0
         seen = 0
         while node is not None:
             seen += 1
-            tot = node.total
-            node.total = tot + step
             key = node.sym
             if sym < key:
+                node.lt += step
                 parent, node = node, node.left
             elif sym > key:
-                right = node.right
-                offset += tot - right.total if right is not None else tot
-                parent, node = node, right
+                offset += node.lt + node.cnt
+                parent, node = node, node.right
             else:
-                left, right = node.left, node.right
-                lt = left.total if left is not None else 0
-                rt = right.total if right is not None else 0
+                cnt = node.cnt + step
+                node.cnt = cnt
                 self.visits += seen
                 self.ops += 1
-                return offset + lt, tot + step - lt - rt
+                return offset + node.lt, cnt
         self.ops += 1
         if not step:
             self.visits += seen
@@ -165,18 +162,18 @@ def _symbol_walk(step, doc):
 
 
 class FreqTree:
-    """Branch-total BST over the remaining occurrences of a multiset."""
+    """Order-statistic BST over the remaining occurrences of a multiset.
 
-    __slots__ = ("root", "visits", "ops")
+    Each node keeps its symbol's count and its left subtree's count; the
+    tree keeps ``total``, the count of all occurrences, up to date."""
+
+    __slots__ = ("root", "total", "visits", "ops")
 
     def __init__(self):
         self.root = None
+        self.total = 0
         self.visits = 0  # nodes touched, cumulative across operations
         self.ops = 0
-
-    @property
-    def total(self) -> int:
-        return self.root.total if self.root is not None else 0
 
     forward_lookup = _symbol_walk(0, """Return (c, p): occurrences ordered
         before ``sym``, and its count (0 once drained); ``NotFoundError`` if
@@ -202,25 +199,10 @@ class FreqTree:
                 stack.append(node)
                 node = node.left
             node = stack.pop()
-            lt = node.left.total if node.left is not None else 0
-            rt = node.right.total if node.right is not None else 0
-            if node.total > lt + rt:  # drained nodes keep their place
-                pairs.append((node.sym, node.total - lt - rt))
+            if node.cnt:  # drained nodes keep their place
+                pairs.append((node.sym, node.cnt))
             node = node.right
         return Multiset(pairs)
-
-    def depth(self) -> int:
-        d = 0
-        stack = [(self.root, 1)] if self.root is not None else []
-        while stack:
-            node, k = stack.pop()
-            if k > d:
-                d = k
-            if node.left is not None:
-                stack.append((node.left, k + 1))
-            if node.right is not None:
-                stack.append((node.right, k + 1))
-        return d
 
 
 def build_balanced(m: Multiset) -> FreqTree:
@@ -232,22 +214,18 @@ def build_balanced(m: Multiset) -> FreqTree:
     """
     pairs = m.pairs
 
-    def build(lo, hi):
+    def build(lo, hi):  # -> (subtree root, subtree total)
         n = hi - lo
         if n == 0:
-            return None
+            return None, 0
         full = (1 << (n.bit_length() - 1)) - 1  # perfect right-subtree size
         mid = lo + (n - 1 - full)
         sym, cnt = pairs[mid]
         node = _Node(sym, cnt)
-        node.left = build(lo, mid)
-        node.right = build(mid + 1, hi)
-        if node.left is not None:
-            node.total += node.left.total
-        if node.right is not None:
-            node.total += node.right.total
-        return node
+        node.left, node.lt = build(lo, mid)
+        node.right, rt = build(mid + 1, hi)
+        return node, node.lt + cnt + rt
 
     tree = FreqTree()
-    tree.root = build(0, len(pairs))
+    tree.root, tree.total = build(0, len(pairs))
     return tree

@@ -142,6 +142,17 @@ def categorical_decode_reference(codec, state):
     return decode_advance(state, t), codec.alphabet[k]
 
 
+def sample_encode_reference(s, tree, codec):
+    """The encode sampling loop with ``decode_peek``, a ``CodeTriple`` per op
+    and the tree total read from the tree. The oracle for
+    ``mscodec.sample_encode``."""
+    while tree.total:
+        n = tree.total
+        sym, c, p = tree.lookup_and_remove(decode_peek(s, n))
+        s = codec.encode(decode_advance(s, CodeTriple(c, p, n)), sym)
+    return s
+
+
 def sample_decode_reference(s, size, codec, tree):
     """The decode sampling loop with the tree total read from the tree and a
     ``CodeTriple`` per op. The oracle for ``mscodec.sample_decode``."""
@@ -150,6 +161,27 @@ def sample_decode_reference(s, size, codec, tree):
         c, p = tree.insert_and_lookup(sym)
         s = encode_op(s, CodeTriple(c, p, tree.total))
     return s
+
+
+def tree_depth(tree) -> int:
+    """Nodes on the longest root-to-leaf path of a ``FreqTree``."""
+    d = 0
+    stack = [(tree.root, 1)] if tree.root is not None else []
+    while stack:
+        node, k = stack.pop()
+        d = max(d, k)
+        stack.extend((kid, k + 1) for kid in (node.left, node.right) if kid is not None)
+    return d
+
+
+def subtree_total(node) -> int:
+    """Occurrences in the subtree under ``node``: its left count and its own
+    count, then the same down the right spine."""
+    total = 0
+    while node is not None:
+        total += node.lt + node.cnt
+        node = node.right
+    return total
 
 
 def _crc32c_table():

@@ -6,13 +6,13 @@ import random
 
 import pytest
 
-from helpers import random_multiset, sample_decode_reference
-from mszip import (ByteStringCodec, CodeTriple, FormatError, Multiset,
-                   QuantizedCategorical, UniformCodec, build_balanced,
-                   decode_advance, decode_multiset, decode_peek, deserialize,
-                   encode_multiset, encode_op, info_content, length_bits,
-                   permutation_bits, rate_report, sample_decode, serialize,
-                   state_new)
+from helpers import random_multiset, sample_decode_reference, sample_encode_reference
+from mszip import (B, L, ByteStringCodec, CodeTriple, ContractError, FormatError,
+                   FreqTree, Multiset, QuantizedCategorical, UniformCodec,
+                   build_balanced, decode_advance, decode_multiset, decode_peek,
+                   deserialize, encode_multiset, encode_op, info_content,
+                   length_bits, permutation_bits, rate_report, sample_decode,
+                   sample_encode, serialize, state_new)
 
 ABC = QuantizedCategorical.from_weights(["a", "b", "c"], [1, 1, 1], 1 << 16)
 
@@ -97,6 +97,45 @@ class TestSamplingInvertibility:
         assert got == sample_decode_reference(s, 500, codec, want_tree)
         assert got_tree.to_multiset() == want_tree.to_multiset()
         assert got_tree.total == start.total + 500
+
+
+class TestInlinePeek:
+    """``sample_encode`` reads each sampling index from the head itself; it
+    matches the loop that calls ``decode_peek``, bit for bit."""
+
+    def test_matches_reference_loop(self):
+        rng = random.Random(33)
+        codec = UniformCodec(1 << 16)
+        s = state_new()
+        for _ in range(40):
+            m = random_multiset(rng, max_total=400)
+            got = sample_encode(s, build_balanced(m), codec)
+            assert serialize(got) == serialize(
+                sample_encode_reference(s, build_balanced(m), codec))
+            s = got  # the next multiset starts from a deeper state
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 100])
+    def test_heads_at_or_above_the_spill_limit(self, n):
+        # a head in [n * (L // n) * B, B * L) holds a word that encode pulled
+        # back; the index is read from the head without it
+        rng = random.Random(n)
+        codec = UniformCodec(4)
+        for _ in range(50):
+            m = Multiset.from_iterable(rng.randrange(4) for _ in range(n))
+            s = (rng.randrange(n * (L // n) * B, B * L), (rng.randrange(1, B), ()))
+            assert serialize(sample_encode(s, build_balanced(m), codec)) == \
+                serialize(sample_encode_reference(s, build_balanced(m), codec))
+
+
+class TestSizeCheck:
+    @pytest.mark.parametrize("size", [-1, 1.5])
+    def test_bad_size_raises_before_decoding(self, size):
+        with pytest.raises(ContractError, match=str(size)):
+            decode_multiset(state_new(), size, UniformCodec(4))
+        tree = FreqTree()
+        with pytest.raises(ContractError, match=str(size)):
+            sample_decode(state_new(), size, UniformCodec(4), tree)
+        assert (tree.root, tree.total, tree.ops) == (None, 0, 0)
 
 
 class TestResidualCheck:

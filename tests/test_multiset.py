@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_forward, linear_reverse
+from helpers import linear_forward, linear_reverse, subtree_total, tree_depth
 from mszip import ContractError, FreqTree, Multiset, NotFoundError, build_balanced
 
 REFERENCE = Multiset([("a", 1), ("b", 2), ("c", 3), ("d", 1), ("e", 1)])
@@ -54,11 +54,11 @@ class TestBuildBalanced:
     def test_reference_tree_shape(self):
         t = build_balanced(REFERENCE)
         root = t.root
-        assert (root.sym, root.total) == ("b", 8)
-        assert (root.left.sym, root.left.total) == ("a", 1)
-        assert (root.right.sym, root.right.total) == ("d", 5)
-        assert (root.right.left.sym, root.right.left.total) == ("c", 3)
-        assert (root.right.right.sym, root.right.right.total) == ("e", 1)
+        assert (root.sym, subtree_total(root)) == ("b", 8)
+        assert (root.left.sym, subtree_total(root.left)) == ("a", 1)
+        assert (root.right.sym, subtree_total(root.right)) == ("d", 5)
+        assert (root.right.left.sym, subtree_total(root.right.left)) == ("c", 3)
+        assert (root.right.right.sym, subtree_total(root.right.right)) == ("e", 1)
 
     def test_empty_and_singleton(self):
         assert build_balanced(Multiset()).total == 0
@@ -70,7 +70,8 @@ class TestBuildBalanced:
     @given(multisets(max_unique=200))
     def test_depth_bound_and_roundtrip(self, m):
         t = build_balanced(m)
-        assert t.depth() <= math.ceil(math.log2(m.unique + 1)) if m.unique else t.depth() == 0
+        depth = tree_depth(t)
+        assert depth <= math.ceil(math.log2(m.unique + 1)) if m.unique else depth == 0
         assert t.to_multiset() == m
         assert t.total == m.total
 
@@ -212,7 +213,7 @@ class TestInsert:
 
 class TestReadOnlyLookupsOnDrainedTrees:
     """The read-only lookups on a tree whose nodes were drained and refilled
-    agree with the oracle and leave every branch total as it was."""
+    agree with the oracle and leave every subtree total as it was."""
 
     @given(multisets(max_unique=24, max_count=4), st.lists(st.integers(0, 1000), max_size=12),
            st.randoms(use_true_random=False))
@@ -225,7 +226,7 @@ class TestReadOnlyLookupsOnDrainedTrees:
         current = t.to_multiset()
         counts = dict(current.pairs)
         nodes = _nodes(t)
-        totals = {key: node.total for key, node in nodes.items()}
+        totals = {key: subtree_total(node) for key, node in nodes.items()}
         for sym, _ in current.pairs:
             assert t.forward_lookup(sym) == linear_forward(current.pairs, sym)
         for i in range(current.total):
@@ -234,7 +235,7 @@ class TestReadOnlyLookupsOnDrainedTrees:
             if node.sym not in counts:
                 before = sum(cnt for sym, cnt in current.pairs if sym < node.sym)
                 assert t.forward_lookup(node.sym) == (before, 0)
-        assert {key: node.total for key, node in _nodes(t).items()} == totals
+        assert {key: subtree_total(node) for key, node in _nodes(t).items()} == totals
 
     @given(multisets(max_unique=24, max_count=4), st.integers(-5, 1005),
            st.randoms(use_true_random=False))
@@ -255,6 +256,55 @@ class TestReadOnlyLookupsOnDrainedTrees:
         assert _nodes(t).keys() == nodes.keys()
 
 
+def _fields(t):
+    """Every node's fields, keyed by node id, after checking that each node's
+    ``lt`` is the sum of ``cnt`` over its left subtree and that ``t.total`` is
+    the sum of every ``cnt``."""
+    fields = {}
+
+    def count(node):
+        if node is None:
+            return 0
+        assert node.lt == count(node.left), node.sym
+        fields[id(node)] = (node.sym, node.lt, node.cnt, id(node.left), id(node.right))
+        return node.lt + node.cnt + count(node.right)
+
+    assert t.total == count(t.root)
+    return fields
+
+
+class TestLeftCounts:
+    """Each node keeps its left subtree's count and the tree its total,
+    across any mix of the four walks; the read-only walks change no field."""
+
+    @given(st.booleans(), multisets(max_unique=24, max_count=4),
+           st.lists(st.sampled_from(["insert", "remove", "forward", "reverse"]),
+                    max_size=60),
+           st.randoms(use_true_random=False))
+    def test_every_walk_keeps_the_counts(self, balanced, m, walks, rng):
+        t = build_balanced(m) if balanced else FreqTree()
+        fields = _fields(t)
+        for walk in walks:
+            present = sorted(node[0] for node in fields.values())
+            sym = (rng.choice(present) if present and rng.random() < 0.5
+                   else rng.randrange(1001))
+            if walk == "insert":
+                t.insert_and_lookup(sym)
+            elif walk == "remove" and t.total:
+                t.lookup_and_remove(rng.randrange(t.total))
+            elif walk == "forward":
+                if sym in present:
+                    t.forward_lookup(sym)
+                else:
+                    with pytest.raises(NotFoundError):
+                        t.forward_lookup(sym)
+            elif walk == "reverse" and t.total:
+                t.reverse_lookup(rng.randrange(t.total))
+            before, fields = fields, _fields(t)
+            if walk in ("forward", "reverse"):
+                assert fields == before
+
+
 class TestVisitInstrumentation:
     def test_balanced_ops_visit_at_most_depth_plus_one(self):
         rng = random.Random(9)
@@ -269,13 +319,13 @@ class TestVisitInstrumentation:
     @given(multisets(max_unique=40), st.randoms(use_true_random=False))
     def test_drain_keeps_shape_and_visits_at_most_depth(self, m, rng):
         t = build_balanced(m)
-        depth, nodes = t.depth(), _nodes(t)
+        depth, nodes = tree_depth(t), _nodes(t)
         assert depth == math.ceil(math.log2(m.unique + 1))
         while t.total:
             before = t.visits
             t.lookup_and_remove(rng.randrange(t.total))
             assert t.visits - before <= depth
-        assert t.depth() == depth
+        assert tree_depth(t) == depth
         assert _nodes(t).keys() == nodes.keys()
 
     def test_counters_accumulate(self):
