@@ -7,7 +7,7 @@ Timing covers tree build, sampling, and coding; data generation, codec
 construction, and I/O are excluded, and the garbage collector is kept out. A
 synthetic time is the median of five runs taken in five sweeps over every
 (alphabet, repetition, size) multiset, so that drift in machine speed moves
-them alike, and each run is timed on this thread's CPU clock
+them alike. Every run, synthetic or JSON, is timed on this thread's CPU clock
 (``time.thread_time``), which time spent waiting while other processes run
 does not inflate. Everything is seed-deterministic, so a repeated run
 reproduces every column except the time ones.
@@ -214,12 +214,12 @@ def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
         sequence = length_bits(sequence_state(nm, pc))
         for rep in range(repetitions):
             with _gc_paused():
-                t0 = time.perf_counter()
+                t0 = time.thread_time()
                 state, sizes = encode_nested(nm, pc)
-                encode_s = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                back = decode_nested(state, list(reversed(sizes)), pc)
-                decode_s = time.perf_counter() - t0
+                encode_s = time.thread_time() - t0
+                t0 = time.thread_time()
+                back = decode_nested(state, sizes, pc)
+                decode_s = time.thread_time() - t0
             if back != nm:
                 raise RuntimeError("nested round-trip mismatch in benchmark")
             compressed = length_bits(state)

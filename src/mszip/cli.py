@@ -18,7 +18,18 @@ from .nested import NestedMultiset, PairCodec, canonical_json, decode_nested, \
 from .symbols import ByteStringCodec, QuantizedCategorical
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: any ``MszipError`` becomes ``Error: <message>``
+    with exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MszipError as e:
+            raise click.ClickException(str(e)) from None
+
+
+@click.group(cls=_Main)
 def main():
     """Order-invariant multiset compression."""
 
@@ -42,63 +53,53 @@ def _int_list(_ctx, _param, value):
 @click.option("--precision", type=click.IntRange(0, 31), default=16,
               show_default=True,
               help="Categorical precision exponent k (masses sum to 2^k).")
-@click.option("--max-len", type=int, default=None,
-              help="Max payload bytes for the bytes codec (default: fit inputs; "
-                   "rounded up to 2^k - 1).")
 @click.option("--nested", is_flag=True,
               help="Treat the single input as a JSON array of flat objects.")
-def compress(inputs, output, codec_name, precision, max_len, nested):
+def compress(inputs, output, codec_name, precision, nested):
     """Compress input files (one symbol each), or one JSON file with --nested."""
-    try:
-        if nested:
-            if len(inputs) != 1:
-                raise click.UsageError("--nested takes exactly one JSON input file")
-            if codec_name != "bytes":
-                raise click.UsageError("--nested requires the bytes codec")
-            records = ingest_json_records(inputs[0].read_bytes())
-            nm = NestedMultiset.from_records(records)
-            if max_len is None:
-                max_len = max((len(f) for r in records
-                               for p in r.pairs.expand() for f in p), default=0)
-            codec = PairCodec(max_len)
-            state, sizes = encode_nested(nm, codec)
-            kind, size = KIND_NESTED, nm.outer_size
-            compressed = length_bits(state)
-            sequence = length_bits(sequence_state(nm, codec))
-            bound = nested_savings_bound(nm)
-            click.echo(f"records: {nm.outer_size} ({nm.pair_count} pairs)")
-            click.echo(f"compressed_bits: {compressed}")
-            click.echo(f"sequence_bits: {sequence}")
-            click.echo(f"savings_bits: {sequence - compressed} "
-                       f"(bound {bound:.1f})")
+    if nested:
+        if len(inputs) != 1:
+            raise click.UsageError("--nested takes exactly one JSON input file")
+        if codec_name != "bytes":
+            raise click.UsageError("--nested requires the bytes codec")
+        records = ingest_json_records(inputs[0].read_bytes())
+        nm = NestedMultiset.from_records(records)
+        codec = PairCodec(max((len(f) for r in records
+                               for p in r.pairs.expand() for f in p), default=0))
+        state, sizes = encode_nested(nm, codec)
+        kind, size = KIND_NESTED, nm.outer_size
+        compressed = length_bits(state)
+        sequence = length_bits(sequence_state(nm, codec))
+        bound = nested_savings_bound(nm)
+        click.echo(f"records: {nm.outer_size} ({nm.pair_count} pairs)")
+        click.echo(f"compressed_bits: {compressed}")
+        click.echo(f"sequence_bits: {sequence}")
+        click.echo(f"savings_bits: {sequence - compressed} "
+                   f"(bound {bound:.1f})")
+    else:
+        payloads = [p.read_bytes() for p in inputs]
+        m = Multiset.from_iterable(payloads)
+        if codec_name == "bytes":
+            codec = ByteStringCodec(max((len(p) for p in payloads), default=0))
         else:
-            payloads = [p.read_bytes() for p in inputs]
-            m = Multiset.from_iterable(payloads)
-            if codec_name == "bytes":
-                if max_len is None:
-                    max_len = max((len(p) for p in payloads), default=0)
-                codec = ByteStringCodec(max_len)
-            else:
-                alphabet = [sym for sym, _ in m.pairs]
-                weights = [cnt for _, cnt in m.pairs]
-                codec = QuantizedCategorical.from_weights(
-                    alphabet, weights, 1 << precision)
-            state = encode_multiset(m, codec)
-            kind, size, sizes = KIND_FLAT, m.total, ()
-            report = rate_report(m, codec)
-            click.echo(f"symbols: {m.total} ({m.unique} unique)")
-            click.echo(f"compressed_bits: {report.compressed_bits}")
-            click.echo(f"info_content_bits: {report.info_content_bits:.1f}")
-            click.echo(f"sequence_bits: {report.sequence_bits}")
-            click.echo(f"savings_bits: {report.savings_bits}")
-        codec_id, blob = codec_blob(codec)
-        data = pack(Container(kind=kind, codec_id=codec_id, codec_blob=blob,
-                              size=size, inner_sizes=tuple(sizes),
-                              state=serialize(state)))
-        output.write_bytes(data)
-        click.echo(f"container_bytes: {len(data)}")
-    except MszipError as e:
-        raise click.ClickException(str(e))
+            alphabet = [sym for sym, _ in m.pairs]
+            weights = [cnt for _, cnt in m.pairs]
+            codec = QuantizedCategorical.from_weights(
+                alphabet, weights, 1 << precision)
+        state = encode_multiset(m, codec)
+        kind, size, sizes = KIND_FLAT, m.total, ()
+        report = rate_report(m, codec)
+        click.echo(f"symbols: {m.total} ({m.unique} unique)")
+        click.echo(f"compressed_bits: {report.compressed_bits}")
+        click.echo(f"info_content_bits: {report.info_content_bits:.1f}")
+        click.echo(f"sequence_bits: {report.sequence_bits}")
+        click.echo(f"savings_bits: {report.savings_bits}")
+    codec_id, blob = codec_blob(codec)
+    data = pack(Container(kind=kind, codec_id=codec_id, codec_blob=blob,
+                          size=size, inner_sizes=tuple(sizes),
+                          state=serialize(state)))
+    output.write_bytes(data)
+    click.echo(f"container_bytes: {len(data)}")
 
 
 @main.command()
@@ -114,30 +115,27 @@ def decompress(container, outdir):
     hash (order is meaningless by construction). Nested containers become
     records.json in canonical form.
     """
-    try:
-        c = unpack(container.read_bytes())
-        codec = codec_from_blob(c.kind, c.codec_id, c.codec_blob)
-        state = deserialize(c.state)
-        if c.kind == KIND_NESTED:
-            nm = decode_nested(state, list(reversed(c.inner_sizes)), codec)
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / "records.json").write_text(canonical_json(nm))
-            click.echo(f"wrote records.json ({nm.outer_size} records)")
-        else:
-            m = decode_multiset(state, c.size, codec)
-            outdir.mkdir(parents=True, exist_ok=True)
-            written = 0
-            for payload, cnt in m.pairs:
-                digest = hashlib.sha256(payload).hexdigest()[:32]
-                if cnt == 1:
-                    (outdir / f"{digest}.bin").write_bytes(payload)
-                else:
-                    for k in range(cnt):
-                        (outdir / f"{digest}.{k}.bin").write_bytes(payload)
-                written += cnt
-            click.echo(f"wrote {written} files ({m.unique} unique)")
-    except MszipError as e:
-        raise click.ClickException(str(e))
+    c = unpack(container.read_bytes())
+    codec = codec_from_blob(c.kind, c.codec_id, c.codec_blob)
+    state = deserialize(c.state)
+    if c.kind == KIND_NESTED:
+        nm = decode_nested(state, c.inner_sizes, codec)
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "records.json").write_text(canonical_json(nm))
+        click.echo(f"wrote records.json ({nm.outer_size} records)")
+    else:
+        m = decode_multiset(state, c.size, codec)
+        outdir.mkdir(parents=True, exist_ok=True)
+        written = 0
+        for payload, cnt in m.pairs:
+            digest = hashlib.sha256(payload).hexdigest()[:32]
+            if cnt == 1:
+                (outdir / f"{digest}.bin").write_bytes(payload)
+            else:
+                for k in range(cnt):
+                    (outdir / f"{digest}.{k}.bin").write_bytes(payload)
+            written += cnt
+        click.echo(f"wrote {written} files ({m.unique} unique)")
 
 
 @main.command()
@@ -145,10 +143,7 @@ def decompress(container, outdir):
                                              path_type=Path))
 def info(container):
     """Print a container's header without decoding it."""
-    try:
-        c = unpack(container.read_bytes())
-    except MszipError as e:
-        raise click.ClickException(str(e))
+    c = unpack(container.read_bytes())
     kind = "nested" if c.kind == KIND_NESTED else "flat"
     codec = {CODEC_BYTES: "bytes", CODEC_CATEGORICAL: "categorical"}.get(
         c.codec_id, f"unknown({c.codec_id})")
@@ -186,10 +181,7 @@ def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
     cfg = bench_mod.BenchConfig(unique_symbols=unique, sizes=sizes,
                                 alphabet_sizes=alphabets, seed=seed,
                                 repetitions=reps)
-    try:
-        rows = bench_mod.synthetic_rows(cfg)
-    except MszipError as e:
-        raise click.ClickException(str(e))
+    rows = bench_mod.synthetic_rows(cfg)
     bench_mod.write_csv(rows, bench_mod.SYNTHETIC_COLUMNS, csv_path)
     if csv_path:
         click.echo(f"wrote {len(rows)} rows to {csv_path}")
@@ -206,11 +198,8 @@ def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
 def bench_json(json_file, reps, prefixes, csv_path):
     """Nested-compression savings on growing prefixes of a JSON collection."""
     bench_mod = _bench()
-    try:
-        rows = bench_mod.json_rows(json_file.read_bytes(), repetitions=reps,
-                                   prefixes=prefixes)
-    except MszipError as e:
-        raise click.ClickException(str(e))
+    rows = bench_mod.json_rows(json_file.read_bytes(), repetitions=reps,
+                               prefixes=prefixes)
     bench_mod.write_csv(rows, bench_mod.JSON_COLUMNS, csv_path)
     if csv_path:
         click.echo(f"wrote {len(rows)} rows to {csv_path}")

@@ -8,7 +8,9 @@ and repeat until the outer multiset is empty. Nothing about the input order
 of records or of pairs inside a record survives into the output.
 
 Decoding needs the shape (how many pairs each sampled record had, in the order
-they were depleted); the container header carries it.
+they were depleted); the container header carries it. ``decode_nested`` takes
+those sizes in the order ``encode_nested`` returned them, which is the order
+the header stores, and reads them from the end itself.
 
 ``ingest_json`` maps the supported JSON subset, an array of flat objects with
 scalar values, onto this structure by casting every key and value to its
@@ -117,10 +119,6 @@ class PairCodec:
     def __init__(self, max_len=255):
         self.strings = ByteStringCodec(max_len)
 
-    @property
-    def max_len(self) -> int:
-        return self.strings.max_len
-
     def encode(self, state, pair):
         k, v = pair
         state = self.strings.encode(state, v)
@@ -157,16 +155,16 @@ def encode_nested(nm: NestedMultiset, pair_codec) -> tuple[tuple, list[int]]:
     """Depth-first nested encode.
 
     Returns the final state and the inner sizes in the order the records were
-    depleted; decode needs those sizes (reversed) to rebuild the structure.
+    depleted; ``decode_nested`` takes them as they are.
     """
     sizes = []
     return encode_multiset(nm.records, _RecordCodec(pair_codec, sizes)), sizes
 
 
 def decode_nested(s: tuple, inner_sizes, pair_codec) -> NestedMultiset:
-    """Inverse of ``encode_nested``; ``inner_sizes`` must be in decode order
-    (the reverse of the sizes list the encoder produced)."""
-    codec = _RecordCodec(pair_codec, iter(inner_sizes))
+    """Inverse of ``encode_nested``, with ``inner_sizes`` in the order
+    ``encode_nested`` returned them; records decode last first."""
+    codec = _RecordCodec(pair_codec, reversed(inner_sizes))
     return NestedMultiset(decode_multiset(s, len(inner_sizes), codec))
 
 
@@ -224,6 +222,8 @@ def ingest_json_records(text) -> list[Record]:
         doc = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as e:
         raise IngestError(e.msg, position=f"line {e.lineno} column {e.colno}") from None
+    except (ValueError, RecursionError) as e:  # too many digits, nested too deep
+        raise IngestError(str(e), position="document") from None
     if not isinstance(doc, list):
         raise IngestError("top-level value must be an array", position="document root")
     records = []
@@ -231,11 +231,15 @@ def ingest_json_records(text) -> list[Record]:
         if not isinstance(item, _JsonObject):
             raise IngestError("array items must be objects", position=f"record {idx}")
         pairs = []
-        for k, v in item.pairs:
-            if isinstance(v, (_JsonObject, list)):
-                raise IngestError("nested objects/arrays are not supported",
-                                  position=f"record {idx}, key {k!r}")
-            pairs.append((k.encode("utf-8"), _scalar_text(v).encode("utf-8")))
+        try:
+            for k, v in item.pairs:
+                if isinstance(v, (_JsonObject, list)):
+                    raise IngestError("nested objects/arrays are not supported",
+                                      position=f"record {idx}, key {k!r}")
+                pairs.append((k.encode("utf-8"), _scalar_text(v).encode("utf-8")))
+        except UnicodeEncodeError as e:  # a lone surrogate escape such as "\ud800"
+            raise IngestError(f"string is not valid UTF-8 ({e.reason})",
+                              position=f"record {idx}, key {k!r}") from None
         records.append(Record(pairs))
     return records
 

@@ -125,9 +125,6 @@ class QuantizedCategorical:
         _check_pow2(_int(precision))
         return cls(alphabet, quantize_pmf(weights, precision))
 
-    def triple(self, sym) -> CodeTriple:
-        return CodeTriple._make(self._triples[self._position(sym)])
-
     def _position(self, sym) -> int:
         try:
             return self._index[sym]

@@ -123,6 +123,12 @@ def byte_string_decode_chain(codec, state):
     return state, bytes(out)
 
 
+def categorical_triple(codec, sym) -> CodeTriple:
+    """The code triple ``QuantizedCategorical.encode`` uses for ``sym``, read
+    from the codec's own table."""
+    return CodeTriple._make(codec._triples[codec._index[sym]])
+
+
 def categorical_encode_reference(codec, state, sym):
     """``QuantizedCategorical.encode`` from the codec's public tables: the
     symbol's position by binary search of the alphabet, then one op on a

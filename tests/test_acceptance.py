@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from helpers import fractional_bits, linear_forward, linear_reverse, random_multiset
+from helpers import (categorical_triple, fractional_bits, linear_forward,
+                     linear_reverse, random_multiset)
 from mszip import (B, ByteStringCodec, CodeTriple, Container, FreqTree, L,
                    Multiset, NestedMultiset, PairCodec, QuantizedCategorical,
                    Record, UniformCodec, build_balanced, codec_blob,
@@ -220,7 +221,7 @@ def test_criterion_09_nested_bound():
     assert nm.records.unique == 1000  # all records distinct
     pc = PairCodec(15)
     state, sizes = encode_nested(nm, pc)
-    assert decode_nested(state, list(reversed(sizes)), pc) == nm
+    assert decode_nested(state, sizes, pc) == nm
     savings = length_bits(sequence_state(nm, pc)) - length_bits(state)
     bound = nested_savings_bound(nm)
     assert savings >= 0.95 * bound, (savings, bound)
@@ -265,7 +266,7 @@ def _step_deltas(m, codec):
                 synthesized += 1
         s = decode_advance(s, CodeTriple(c, p, n))
         # replay the spill to count zero words returned to the pool
-        t = codec.triple(sym)
+        t = categorical_triple(codec, sym)
         h, w = s
         limit = (L // t.n) * B * t.p
         returned = 0

@@ -147,6 +147,29 @@ class TestInfo:
         assert "checksum: ok" in res.output
 
 
+class TestErrorBoundary:
+    """Every ``MszipError`` reaches the user as one ``Error:`` line."""
+
+    @pytest.mark.parametrize("command, content, fragment", [
+        (["info"], b"not a container", "bad magic"),
+        (["decompress", "-o", "restored"], b"not a container", "bad magic"),
+        (["compress", "--nested", "-o", "out.msz"], b"{}",
+         "document root: top-level value must be an array"),
+        (["compress", "--nested", "-o", "out.msz"], b'[{"a":"\\ud800"}]',
+         "record 0, key 'a': string is not valid UTF-8"),
+    ], ids=["info", "decompress", "nested-not-array", "nested-surrogate"])
+    def test_errors_exit_1_with_one_line(self, runner, tmp_path, monkeypatch,
+                                         command, content, fragment):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "input").write_bytes(content)
+        res = runner.invoke(main, [*command, "input"])
+        assert res.exit_code == 1
+        assert f"Error: {fragment}" in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "restored").exists()
+        assert not (tmp_path / "out.msz").exists()
+
+
 class TestBenchCommands:
     def test_bench_synthetic_csv(self, runner, tmp_path):
         csv_path = tmp_path / "rows.csv"

@@ -8,9 +8,9 @@ import pytest
 from helpers import crc32c_reference
 from mszip import (ByteStringCodec, Container, FormatError, Multiset, MszipError,
                    NestedMultiset, PairCodec, QuantizedCategorical, Record,
-                   codec_blob, codec_from_blob, crc32c, decode_multiset,
-                   decode_nested, deserialize, encode_multiset, encode_nested,
-                   pack, serialize, unpack)
+                   UniformCodec, codec_blob, codec_from_blob, crc32c,
+                   decode_multiset, decode_nested, deserialize, encode_multiset,
+                   encode_nested, pack, serialize, unpack)
 from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED
 from mszip.varint import decode_uvarint, encode_uvarint
 
@@ -67,6 +67,10 @@ def nested_container(nm, max_len=15):
     return pack(Container(kind=KIND_NESTED, codec_id=cid, codec_blob=blob,
                           size=nm.outer_size, inner_sizes=tuple(sizes),
                           state=serialize(state)))
+
+
+# Categorical codec parameters: precision 4, one symbol b"a" of mass 4.
+CATEGORICAL_BLOB = b"\x04\x01\x01a\x04"
 
 
 class TestPackUnpack:
@@ -144,6 +148,50 @@ class TestCorruption:
         with pytest.raises(FormatError, match="codec"):
             codec_from_blob(KIND_FLAT, 77, b"")
 
+    @pytest.mark.parametrize("call, fragment", [
+        (lambda: codec_blob(QuantizedCategorical([1, 2], [1, 1])),
+         "only byte-string categorical alphabets"),
+        (lambda: codec_blob(UniformCodec(4)), "cannot serialize codec UniformCodec"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_BYTES, b"\x07\x00"),
+         "trailing bytes"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL,
+                                 CATEGORICAL_BLOB + b"\x00"),
+         "trailing bytes"),
+        (lambda: codec_from_blob(KIND_NESTED, CODEC_CATEGORICAL, CATEGORICAL_BLOB),
+         "nested containers require the byte-string codec"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL, b"\x04\x01\x05ab"),
+         "truncated codec alphabet"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL, b"\x08\x01\x01a\x04"),
+         "do not sum to the stated precision"),
+        (lambda: pack(Container(kind=7, codec_id=CODEC_BYTES, codec_blob=b"\x00",
+                                size=0, inner_sizes=(), state=b"")),
+         "unknown payload kind 7"),
+        (lambda: unpack(b"MSZ1"), "truncated header"),
+        (lambda: unpack(b"MSZ1\x01\x01\x05\x00\x00"), "truncated codec parameters"),
+        (lambda: unpack(b"MSZ1\x01\x01\x00\x09"), "unknown payload kind 9"),
+        (lambda: unpack(b"MSZ1\x01\x01\x00\x00\x00\xab\xcd"), "truncated checksum"),
+        (lambda: decode_uvarint(b"\x80"), "truncated varint"),
+        (lambda: decode_uvarint(b"\xff" * 10), "varint too long"),
+    ], ids=["alphabet-not-bytes", "unknown-codec-class", "bytes-trailing",
+            "categorical-trailing", "nested-categorical", "truncated-alphabet",
+            "masses-off-precision", "pack-unknown-kind", "truncated-header",
+            "truncated-params", "unpack-unknown-kind", "truncated-checksum",
+            "truncated-varint", "varint-too-long"])
+    def test_format_errors_name_the_fault(self, call, fragment):
+        with pytest.raises(FormatError, match=fragment):
+            call()
+
+    @pytest.mark.parametrize("data", [
+        flat_container()[2],
+        nested_container(NestedMultiset.from_records(
+            [Record([(b"k", b"v"), (b"id", b"7")]), Record([(b"k", b"w")])])),
+    ], ids=["flat", "nested"])
+    def test_every_proper_prefix_is_a_format_error(self, data):
+        unpack(data)
+        for cut in range(len(data)):
+            with pytest.raises(FormatError):
+                unpack(data[:cut])
+
 
 class TestStrictDecode:
     """Every single-bit flip of the state, with the CRC recomputed, either
@@ -182,8 +230,7 @@ class TestStrictDecode:
                            for _ in range(rng.randrange(4))]) for _ in range(6)]
         data = nested_container(NestedMultiset.from_records(records + records[:2]))
         self.flip_every_bit(
-            data, lambda s, c, codec: decode_nested(
-                s, list(reversed(c.inner_sizes)), codec),
+            data, lambda s, c, codec: decode_nested(s, c.inner_sizes, codec),
             nested_container)
 
 

@@ -21,7 +21,7 @@ def rec(*pairs):
 
 def roundtrip(nm, pc=PC):
     state, sizes = encode_nested(nm, pc)
-    return decode_nested(state, list(reversed(sizes)), pc)
+    return decode_nested(state, sizes, pc)
 
 
 class TestRecord:
@@ -160,6 +160,18 @@ class TestIngestJson:
         with pytest.raises(IngestError) as e:
             ingest_json(b'[\xff]')
         assert "byte" in e.value.position
+
+    @pytest.mark.parametrize("doc, position, fragment", [
+        ('[{"a":"\\ud800"}]', "record 0, key 'a'", "UTF-8"),
+        ('[{"a":1},{"\\udc00":"x"}]', "record 1, key '\\udc00'", "UTF-8"),
+        ('[{"a":' + "9" * 5000 + '}]', "document", "digits"),
+        ("[" * 100_000, "document", "recursion depth"),
+    ], ids=["surrogate-value", "surrogate-key", "long-integer", "deep-nesting"])
+    def test_parser_and_encoder_failures_are_ingest_errors(self, doc, position,
+                                                           fragment):
+        with pytest.raises(IngestError, match=fragment) as e:
+            ingest_json_records(doc)
+        assert e.value.position == position
 
 
 class TestFullOrderInvariance:

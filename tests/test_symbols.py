@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (byte_string_decode_chain, byte_string_encode_chain,
                      categorical_decode_reference, categorical_encode_reference,
-                     fractional_bits)
+                     categorical_triple, fractional_bits)
 from mszip import (B, ByteStringCodec, CapacityError, CodeTriple,
                    ContractError, NotFoundError, PairCodec, QuantizedCategorical,
                    UniformCodec, ans, decode_peek, deserialize, quantize_pmf,
@@ -87,8 +87,6 @@ class TestCategorical:
                 codec.encode(state_new(), sym)
             with pytest.raises(NotFoundError):
                 codec.bits(sym)
-            with pytest.raises(NotFoundError):
-                codec.triple(sym)
 
     def test_table_codec_matches_reference_at_every_head_length(self):
         rng = random.Random(8)
@@ -100,7 +98,7 @@ class TestCategorical:
             for precision in (1 << 16, 1 << 31)]
         for codec in codecs:
             for k, sym in enumerate(codec.alphabet):
-                assert codec.triple(sym) == CodeTriple(
+                assert categorical_triple(codec, sym) == CodeTriple(
                     codec.cdf[k], codec.pmf[k], codec.precision)
         for length, words, codec in itertools.product(range(32, 64), range(3), codecs):
             for head in (1 << (length - 1), (1 << length) - 1,
