@@ -12,23 +12,27 @@ them alike. Every run, synthetic or JSON, is timed on this thread's CPU clock
 does not inflate. Everything is seed-deterministic, so a repeated run
 reproduces every column except the time ones.
 
-The fixed-unique-count generator works support-first: it picks the support of
-``unique`` distinct symbols by weighted sampling without replacement (Gumbel
-top-k), puts one count on each, then distributes the remaining draws i.i.d.
-from the source restricted and renormalized to the support.
+The generators use the standard library's ``random.Random``, seeded per
+(seed, alphabet, size, repetition) by a string, which ``random`` hashes with
+SHA-512, so the data does not depend on ``PYTHONHASHSEED``. The
+fixed-unique-count generator works support-first: it picks the support of
+``unique`` distinct symbols by weighted sampling without replacement
+(exponential races), puts one count on each, then distributes the remaining
+draws i.i.d. from the source restricted and renormalized to the support.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import heapq
+import math
+import random
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from statistics import median
-
-import numpy as np
 
 from .ans import length_bits, state_new
 from .errors import ContractError
@@ -51,64 +55,34 @@ JSON_COLUMNS = [
 ]
 
 
-@dataclass
-class BenchConfig:
-    """Synthetic sweep: alphabet sizes x multiset sizes x repetitions."""
-
-    unique_symbols: int = 512
-    sizes: tuple = (1 << 13,)
-    alphabet_sizes: tuple = (1 << 10,)
-    seed: int = 0
-    repetitions: int = 1
-
-    def validate(self):
-        if self.repetitions < 1:
-            raise ContractError("repetitions must be >= 1")
-        for a in self.alphabet_sizes:
-            if self.unique_symbols > a:
-                raise ContractError(
-                    f"cannot place {self.unique_symbols} unique symbols in an "
-                    f"alphabet of {a}")
-        for s in self.sizes:
-            if self.unique_symbols > s:
-                raise ContractError(
-                    f"cannot fit {self.unique_symbols} unique symbols in a "
-                    f"multiset of {s}")
-
-
-def gen_dirichlet_source(alphabet_size: int, seed) -> np.ndarray:
+def gen_dirichlet_source(alphabet_size: int, seed) -> list[float]:
     """Skewed pmf over [0, alphabet_size) from Dirichlet(alpha_k = k).
 
     Drawn as independent Gamma(k) variates normalized to sum one, with
-    numpy's default_rng(seed) as the documented generator.
+    ``random.Random(seed)`` as the documented generator.
     """
     if alphabet_size < 1:
         raise ContractError("alphabet must have at least one symbol")
-    rng = np.random.default_rng(seed)
-    w = rng.standard_gamma(np.arange(1, alphabet_size + 1, dtype=np.float64))
-    w = np.maximum(w, 1e-300)  # guard against gamma underflow at alpha=1
-    return w / w.sum()
+    rng = random.Random(seed)
+    # the floor guards against gamma underflow at alpha=1
+    w = [max(rng.gammavariate(k, 1.0), 1e-300) for k in range(1, alphabet_size + 1)]
+    total = math.fsum(w)
+    return [x / total for x in w]
 
 
-def gen_fixed_unique_multiset(pmf: np.ndarray, unique: int, size: int, seed) -> Multiset:
+def gen_fixed_unique_multiset(pmf, unique: int, size: int, seed) -> Multiset:
     """Multiset of ``size`` symbols with exactly ``unique`` distinct ones."""
     n = len(pmf)
     if not 1 <= unique <= n:
         raise ContractError(f"unique count {unique} outside [1, {n}]")
     if size < unique:
         raise ContractError(f"multiset size {size} below unique count {unique}")
-    rng = np.random.default_rng(seed)
-    keys = np.log(pmf) + rng.gumbel(size=n)
-    support = np.argpartition(-keys, unique - 1)[:unique] if unique < n \
-        else np.arange(n)
-    counts = np.ones(unique, dtype=np.int64)
-    extra = size - unique
-    if extra:
-        w = pmf[support]
-        draws = rng.choice(unique, size=extra, p=w / w.sum())
-        counts += np.bincount(draws, minlength=unique)
-    order = np.argsort(support)
-    return Multiset((int(support[k]), int(counts[k])) for k in order)
+    rng = random.Random(seed)
+    race = ((rng.expovariate(1.0) / w, k) for k, w in enumerate(pmf))
+    support = [k for _, k in heapq.nsmallest(unique, race)]
+    counts = Counter(support)
+    counts.update(rng.choices(support, [pmf[k] for k in support], k=size - unique))
+    return Multiset(sorted(counts.items()))
 
 
 def _precision_for(alphabet_size: int) -> int:
@@ -116,8 +90,8 @@ def _precision_for(alphabet_size: int) -> int:
     return 1 << min(24, max(16, alphabet_size.bit_length() + 1))
 
 
-def _subseed(*parts) -> np.random.SeedSequence:
-    return np.random.SeedSequence(list(parts))
+def _subseed(*parts) -> str:
+    return "/".join(map(str, parts))
 
 
 @contextmanager
@@ -147,17 +121,28 @@ def _round_trip(m: Multiset, codec):
     return state, etree, dtree, t1 - t0, t2 - t1
 
 
-def synthetic_rows(cfg: BenchConfig) -> list[dict]:
-    cfg.validate()
+def synthetic_rows(unique: int, sizes, alphabets, seed: int = 0,
+                   reps: int = 1) -> list[dict]:
+    """One row per (alphabet, repetition, size) multiset of ``unique`` symbols."""
+    if reps < 1:
+        raise ContractError("repetitions must be >= 1")
+    for a in alphabets:
+        if unique > a:
+            raise ContractError(
+                f"cannot place {unique} unique symbols in an alphabet of {a}")
+    for s in sizes:
+        if unique > s:
+            raise ContractError(
+                f"cannot fit {unique} unique symbols in a multiset of {s}")
     groups = []
-    for a in cfg.alphabet_sizes:
-        pmf = gen_dirichlet_source(a, _subseed(cfg.seed, a))
+    for a in alphabets:
+        pmf = gen_dirichlet_source(a, _subseed(seed, a))
         precision = _precision_for(a)
         codec = QuantizedCategorical.from_weights(range(a), pmf, precision)
-        for rep in range(cfg.repetitions):
-            for size in cfg.sizes:
-                m = gen_fixed_unique_multiset(pmf, cfg.unique_symbols, size,
-                                              _subseed(cfg.seed, a, size, rep))
+        for rep in range(reps):
+            for size in sizes:
+                m = gen_fixed_unique_multiset(pmf, unique, size,
+                                              _subseed(seed, a, size, rep))
                 groups.append((a, precision, codec, rep, m))
     sweeps = [[_round_trip(m, codec) for _, _, codec, _, m in groups]
               for _ in range(5)]
@@ -169,9 +154,9 @@ def synthetic_rows(cfg: BenchConfig) -> list[dict]:
         rows.append({
             "alphabet_size": a,
             "multiset_size": m.total,
-            "unique_symbols": cfg.unique_symbols,
+            "unique_symbols": unique,
             "repetition": rep,
-            "seed": cfg.seed,
+            "seed": seed,
             "precision": precision,
             "compressed_bits": compressed,
             "info_bits": round(info_content(m, codec), 3),
@@ -201,14 +186,21 @@ def default_prefixes(n: int) -> list[int]:
 
 def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
     """Measure nested compression on growing prefixes of a JSON collection."""
+    if repetitions < 1:
+        raise ContractError(f"repetitions must be >= 1, got {repetitions}")
     records = ingest_json_records(text)
     if not records:
         raise ContractError("no records to benchmark")
+    if prefixes is None:
+        prefixes = default_prefixes(len(records))
+    for k in prefixes:
+        if not 1 <= k <= len(records):
+            raise ContractError(f"prefix {k} outside [1, {len(records)}]")
     max_len = max((len(f) for r in records for p in r.pairs.expand() for f in p),
                   default=0)
     pc = PairCodec(max_len)
     rows = []
-    for k in prefixes if prefixes is not None else default_prefixes(len(records)):
+    for k in prefixes:
         nm = NestedMultiset.from_records(records[:k])
         bound = nested_savings_bound(nm)
         sequence = length_bits(sequence_state(nm, pc))

@@ -38,9 +38,12 @@ def _int_list(_ctx, _param, value):
     if value is None:
         return None
     try:
-        return tuple(int(v) for v in value.split(",") if v)
+        values = tuple(int(v) for v in value.split(",") if v)
     except ValueError:
+        values = ()
+    if not values:
         raise click.BadParameter("expected a comma-separated list of integers")
+    return values
 
 
 @main.command()
@@ -156,14 +159,6 @@ def info(container):
     click.echo("checksum: ok")
 
 
-def _bench():
-    try:
-        from . import bench  # needs numpy, which only the bench extra installs
-    except ModuleNotFoundError as e:
-        raise click.ClickException(f"{e}; pip install 'mszip[bench]'") from None
-    return bench
-
-
 @main.command("bench-synthetic")
 @click.option("--unique", type=int, default=512, show_default=True,
               help="Exact number of unique symbols per multiset.")
@@ -177,12 +172,9 @@ def _bench():
               help="Write CSV here instead of stdout.")
 def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
     """Rate and timing sweep over synthetic Dirichlet-skewed multisets."""
-    bench_mod = _bench()
-    cfg = bench_mod.BenchConfig(unique_symbols=unique, sizes=sizes,
-                                alphabet_sizes=alphabets, seed=seed,
-                                repetitions=reps)
-    rows = bench_mod.synthetic_rows(cfg)
-    bench_mod.write_csv(rows, bench_mod.SYNTHETIC_COLUMNS, csv_path)
+    from . import bench  # imported here so that ``import mszip.cli`` stays light
+    rows = bench.synthetic_rows(unique, sizes, alphabets, seed, reps)
+    bench.write_csv(rows, bench.SYNTHETIC_COLUMNS, csv_path)
     if csv_path:
         click.echo(f"wrote {len(rows)} rows to {csv_path}")
 
@@ -197,10 +189,10 @@ def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
               help="Write CSV here instead of stdout.")
 def bench_json(json_file, reps, prefixes, csv_path):
     """Nested-compression savings on growing prefixes of a JSON collection."""
-    bench_mod = _bench()
-    rows = bench_mod.json_rows(json_file.read_bytes(), repetitions=reps,
-                               prefixes=prefixes)
-    bench_mod.write_csv(rows, bench_mod.JSON_COLUMNS, csv_path)
+    from . import bench
+    rows = bench.json_rows(json_file.read_bytes(), repetitions=reps,
+                           prefixes=prefixes)
+    bench.write_csv(rows, bench.JSON_COLUMNS, csv_path)
     if csv_path:
         click.echo(f"wrote {len(rows)} rows to {csv_path}")
 

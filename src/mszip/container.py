@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from struct import iter_unpack
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 from .nested import PairCodec
 from .symbols import ByteStringCodec, QuantizedCategorical
 from .varint import decode_uvarint, encode_uvarint
@@ -111,34 +111,38 @@ def codec_blob(codec) -> tuple[int, bytes]:
 
 
 def codec_from_blob(kind: int, codec_id: int, blob: bytes):
-    """Rebuild the symbol codec a container was written with."""
-    if codec_id == CODEC_BYTES:
-        max_len, pos = decode_uvarint(blob)
-        if pos != len(blob):
-            raise FormatError("trailing bytes in codec parameters")
-        return PairCodec(max_len) if kind == KIND_NESTED else ByteStringCodec(max_len)
-    if codec_id == CODEC_CATEGORICAL:
-        if kind == KIND_NESTED:
-            raise FormatError("nested containers require the byte-string codec")
-        precision, pos = decode_uvarint(blob)
-        n, pos = decode_uvarint(blob, pos)
-        alphabet = []
-        for _ in range(n):
-            ln, pos = decode_uvarint(blob, pos)
-            if pos + ln > len(blob):
-                raise FormatError("truncated codec alphabet")
-            alphabet.append(blob[pos : pos + ln])
-            pos += ln
-        pmf = []
-        for _ in range(n):
-            mass, pos = decode_uvarint(blob, pos)
-            pmf.append(mass)
-        if pos != len(blob):
-            raise FormatError("trailing bytes in codec parameters")
-        codec = QuantizedCategorical(alphabet, pmf)
-        if codec.precision != precision:
-            raise FormatError("codec masses do not sum to the stated precision")
-        return codec
+    """Rebuild the symbol codec a container was written with. Parameters its
+    constructor rejects are a damaged header: a ``FormatError``, same message."""
+    try:
+        if codec_id == CODEC_BYTES:
+            max_len, pos = decode_uvarint(blob)
+            if pos != len(blob):
+                raise FormatError("trailing bytes in codec parameters")
+            return PairCodec(max_len) if kind == KIND_NESTED else ByteStringCodec(max_len)
+        if codec_id == CODEC_CATEGORICAL:
+            if kind == KIND_NESTED:
+                raise FormatError("nested containers require the byte-string codec")
+            precision, pos = decode_uvarint(blob)
+            n, pos = decode_uvarint(blob, pos)
+            alphabet = []
+            for _ in range(n):
+                ln, pos = decode_uvarint(blob, pos)
+                if pos + ln > len(blob):
+                    raise FormatError("truncated codec alphabet")
+                alphabet.append(blob[pos : pos + ln])
+                pos += ln
+            pmf = []
+            for _ in range(n):
+                mass, pos = decode_uvarint(blob, pos)
+                pmf.append(mass)
+            if pos != len(blob):
+                raise FormatError("trailing bytes in codec parameters")
+            codec = QuantizedCategorical(alphabet, pmf)
+            if codec.precision != precision:
+                raise FormatError("codec masses do not sum to the stated precision")
+            return codec
+    except ContractError as e:
+        raise FormatError(str(e)) from None
     raise FormatError(f"unknown codec id {codec_id}")
 
 

@@ -183,13 +183,6 @@ def nested_savings_bound(nm: NestedMultiset) -> float:
     return bits / _LN2
 
 
-class _JsonObject:
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        self.pairs = pairs
-
-
 def _scalar_text(value) -> str:
     if isinstance(value, str):
         return value
@@ -219,7 +212,8 @@ def ingest_json_records(text) -> list[Record]:
         except UnicodeDecodeError as e:
             raise IngestError("invalid UTF-8", position=f"byte {e.start}") from None
     try:
-        doc = json.loads(text, object_pairs_hook=_JsonObject)
+        # objects become tuples of pairs, which keep duplicate keys; arrays stay lists
+        doc = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as e:
         raise IngestError(e.msg, position=f"line {e.lineno} column {e.colno}") from None
     except (ValueError, RecursionError) as e:  # too many digits, nested too deep
@@ -228,12 +222,12 @@ def ingest_json_records(text) -> list[Record]:
         raise IngestError("top-level value must be an array", position="document root")
     records = []
     for idx, item in enumerate(doc):
-        if not isinstance(item, _JsonObject):
+        if not isinstance(item, tuple):
             raise IngestError("array items must be objects", position=f"record {idx}")
         pairs = []
         try:
-            for k, v in item.pairs:
-                if isinstance(v, (_JsonObject, list)):
+            for k, v in item:
+                if isinstance(v, (tuple, list)):
                     raise IngestError("nested objects/arrays are not supported",
                                       position=f"record {idx}, key {k!r}")
                 pairs.append((k.encode("utf-8"), _scalar_text(v).encode("utf-8")))

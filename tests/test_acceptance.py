@@ -20,7 +20,7 @@ from mszip import (B, ByteStringCodec, CodeTriple, Container, FreqTree, L,
                    encode_multiset, encode_nested, info_content, length_bits,
                    nested_savings_bound, pack, sequence_state, serialize,
                    state_new)
-from mszip.bench import BenchConfig, gen_dirichlet_source, synthetic_rows
+from mszip.bench import gen_dirichlet_source, synthetic_rows
 from mszip.container import KIND_FLAT
 from test_ans import run_stack_discipline_trial
 
@@ -138,11 +138,10 @@ def _min_times(rows):
 
 
 def test_criterion_05_alphabet_independence():
-    cfg = BenchConfig(unique_symbols=512, sizes=(1 << 13,),
-                      alphabet_sizes=(1 << 10, 1 << 14, 1 << 18),
-                      seed=20260815, repetitions=3)
-    times = _min_times(synthetic_rows(cfg))
-    ts = [times[(a, 1 << 13)] for a in cfg.alphabet_sizes]
+    alphabets = (1 << 10, 1 << 14, 1 << 18)
+    times = _min_times(synthetic_rows(512, (1 << 13,), alphabets, seed=20260815,
+                                      reps=3))
+    ts = [times[(a, 1 << 13)] for a in alphabets]
     ratio = max(ts) / min(ts)
     assert ratio < 1.5, ts
     _ok(5, f"|A| 2^10..2^18 at |M|=2^13: time ratio {ratio:.2f} < 1.5")
@@ -150,9 +149,8 @@ def test_criterion_05_alphabet_independence():
 
 def test_criterion_06_linear_scaling():
     sizes = tuple(1 << k for k in range(10, 15))
-    cfg = BenchConfig(unique_symbols=512, sizes=sizes,
-                      alphabet_sizes=(1 << 14,), seed=20260816, repetitions=5)
-    times = _min_times(synthetic_rows(cfg))
+    times = _min_times(synthetic_rows(512, sizes, (1 << 14,), seed=20260816,
+                                      reps=5))
     ts = [times[(1 << 14, s)] for s in sizes]
     ratios = [b / a for a, b in zip(ts, ts[1:])]
     assert all(1.6 <= r <= 2.6 for r in ratios), ratios

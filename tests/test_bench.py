@@ -1,33 +1,37 @@
 """Benchmark harness tests: generators, determinism, row schemas."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import mszip
 from mszip import ContractError
-from mszip.bench import (BenchConfig, JSON_COLUMNS, SYNTHETIC_COLUMNS,
-                         default_prefixes, gen_dirichlet_source,
-                         gen_fixed_unique_multiset, json_rows, synthetic_rows)
+from mszip.bench import (JSON_COLUMNS, SYNTHETIC_COLUMNS, default_prefixes,
+                         gen_dirichlet_source, gen_fixed_unique_multiset,
+                         json_rows, synthetic_rows)
 
 
 class TestDirichletSource:
     def test_valid_pmf(self):
         pmf = gen_dirichlet_source(100, seed=3)
-        assert pmf.shape == (100,)
-        assert np.all(pmf > 0)
-        assert pmf.sum() == pytest.approx(1.0)
+        assert len(pmf) == 100
+        assert all(p > 0 for p in pmf)
+        assert sum(pmf) == pytest.approx(1.0)
 
     def test_seed_determinism(self):
         a = gen_dirichlet_source(64, seed=9)
         b = gen_dirichlet_source(64, seed=9)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, gen_dirichlet_source(64, seed=10))
+        assert a == b
+        assert a != gen_dirichlet_source(64, seed=10)
 
     def test_skew_grows_with_index(self):
         # alpha_k = k concentrates mass on high symbols
         pmf = gen_dirichlet_source(1 << 12, seed=0)
-        lo, hi = pmf[: 1 << 11].sum(), pmf[1 << 11:].sum()
+        lo, hi = sum(pmf[: 1 << 11]), sum(pmf[1 << 11:])
         assert hi > 2 * lo
 
 
@@ -66,9 +70,7 @@ class TestFixedUniqueGenerator:
 
 class TestSyntheticRows:
     def test_schema_and_rate_sanity(self):
-        cfg = BenchConfig(unique_symbols=16, sizes=(128,), alphabet_sizes=(64,),
-                          seed=0, repetitions=2)
-        rows = synthetic_rows(cfg)
+        rows = synthetic_rows(16, (128,), (64,), seed=0, reps=2)
         assert len(rows) == 2
         for row in rows:
             assert list(row) == SYNTHETIC_COLUMNS
@@ -79,20 +81,33 @@ class TestSyntheticRows:
             assert row["decoder_ops"] == 128
 
     def test_determinism_except_times(self):
-        cfg = BenchConfig(unique_symbols=8, sizes=(64,), alphabet_sizes=(32,),
-                          seed=5, repetitions=1)
         strip = lambda row: {k: v for k, v in row.items()
                              if k not in ("encode_s", "decode_s")}
-        assert list(map(strip, synthetic_rows(cfg))) == \
-            list(map(strip, synthetic_rows(cfg)))
+        assert list(map(strip, synthetic_rows(8, (64,), (32,), seed=5))) == \
+            list(map(strip, synthetic_rows(8, (64,), (32,), seed=5)))
+
+    def test_same_rows_under_any_hash_seed(self):
+        # A seed derived from hash() of a str would differ between these runs.
+        code = ("from mszip.bench import synthetic_rows\n"
+                "for row in synthetic_rows(8, (64, 96), (32, 48), seed=5, reps=2):\n"
+                "    print(sorted((k, v) for k, v in row.items()\n"
+                "                 if k not in ('encode_s', 'decode_s')))\n")
+        src = str(Path(mszip.__file__).resolve().parents[1])
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": src,
+                                    "PYTHONHASHSEED": h}) for h in ("1", "2")]
+        assert all(o.returncode == 0 for o in outs), [o.stderr for o in outs]
+        assert outs[0].stdout.count("\n") == 8
+        assert outs[0].stdout == outs[1].stdout
 
     def test_infeasible_config(self):
-        with pytest.raises(ContractError):
-            synthetic_rows(BenchConfig(unique_symbols=100, sizes=(128,),
-                                       alphabet_sizes=(64,)))
-        with pytest.raises(ContractError):
-            synthetic_rows(BenchConfig(unique_symbols=100, sizes=(64,),
-                                       alphabet_sizes=(128,)))
+        with pytest.raises(ContractError, match="alphabet of 64"):
+            synthetic_rows(100, (128,), (64,))
+        with pytest.raises(ContractError, match="multiset of 64"):
+            synthetic_rows(100, (64,), (128,))
+        with pytest.raises(ContractError, match="repetitions"):
+            synthetic_rows(8, (64,), (32,), reps=0)
 
 
 class TestJsonRows:

@@ -133,6 +133,15 @@ class TestNestedFlow:
                                    str(tmp_path / "x.msz"), "--nested"])
         assert res.exit_code != 0
 
+    def test_nested_requires_the_bytes_codec(self, runner, tmp_path):
+        paths = make_inputs(tmp_path, [b"[{}]"])
+        res = runner.invoke(main, ["compress", str(paths[0]), "-o",
+                                   str(tmp_path / "x.msz"), "--nested",
+                                   "--codec", "categorical"])
+        assert res.exit_code == 2
+        assert "--nested requires the bytes codec" in res.output
+        assert not (tmp_path / "x.msz").exists()
+
 
 class TestInfo:
     def test_reports_header(self, runner, tmp_path):
@@ -145,6 +154,15 @@ class TestInfo:
         assert "codec: bytes" in res.output
         assert "count: 2" in res.output
         assert "checksum: ok" in res.output
+
+        src = tmp_path / "r.json"
+        src.write_text(json.dumps([{"a": "1", "b": "2"}, {"a": "3"}]))
+        runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
+        res = runner.invoke(main, ["info", str(box)])
+        assert res.exit_code == 0
+        assert "kind: nested" in res.output
+        assert "count: 2" in res.output
+        assert "pairs: 3" in res.output
 
 
 class TestErrorBoundary:
@@ -195,6 +213,25 @@ class TestBenchCommands:
         res = runner.invoke(main, ["bench-synthetic", "--unique", "64",
                                    "--sizes", "32", "--alphabets", "128"])
         assert res.exit_code != 0
+
+    @pytest.mark.parametrize("args, code, fragment", [
+        (["bench-json", "r.json", "--reps", "0"], 1, "repetitions must be >= 1, got 0"),
+        (["bench-json", "r.json", "--prefixes", "0"], 1, "prefix 0 outside [1, 20]"),
+        (["bench-json", "r.json", "--prefixes", "-1"], 1, "prefix -1 outside [1, 20]"),
+        (["bench-json", "r.json", "--prefixes", "4,50"], 1, "prefix 50 outside [1, 20]"),
+        (["bench-json", "r.json", "--prefixes", ","], 2, "comma-separated list"),
+        (["bench-synthetic", "--sizes", ""], 2, "comma-separated list"),
+        (["bench-synthetic", "--alphabets", ""], 2, "comma-separated list"),
+    ], ids=["json-reps-0", "prefix-0", "prefix-negative", "prefix-past-end",
+            "prefixes-empty", "sizes-empty", "alphabets-empty"])
+    def test_empty_or_wrong_sweeps_are_errors(self, runner, tmp_path, monkeypatch,
+                                              args, code, fragment):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_text(json.dumps([{"k": str(i)} for i in range(20)]))
+        res = runner.invoke(main, args)
+        assert res.exit_code == code
+        assert fragment in res.output
+        assert "records," not in res.output and "alphabet_size," not in res.output
 
 
 GOLDEN_FLAT = {
@@ -252,18 +289,30 @@ class TestGoldenBytes:
 class TestNumpyIsOptional:
     def test_cli_import_leaves_numpy_out(self):
         src = Path(mszip.__file__).resolve().parents[1]
-        code = "import sys, mszip.cli; print('numpy' in sys.modules)"
+        code = ("import sys, mszip.cli; print('mszip.bench' in sys.modules); "
+                "import mszip.bench; print('numpy' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
                              timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
 
-    @pytest.mark.parametrize("args", [["bench-synthetic"], ["bench-json", __file__]])
-    def test_bench_without_numpy_names_the_extra(self, runner, monkeypatch, args):
+    @pytest.mark.parametrize("args, header", [
+        (["bench-synthetic", "--unique", "8", "--sizes", "64", "--alphabets", "32"],
+         "alphabet_size,multiset_size,unique_symbols,repetition,seed,precision,"
+         "compressed_bits,info_bits,sequence_bits,savings_bits,encode_s,decode_s,"
+         "encoder_visits,encoder_ops,decoder_visits,decoder_ops"),
+        (["bench-json", "r.json"],
+         "records,pairs,repetition,compressed_bits,sequence_bits,savings_bits,"
+         "bound_bits,savings_ratio,encode_s,decode_s"),
+    ], ids=["bench-synthetic", "bench-json"])
+    def test_bench_runs_without_numpy(self, runner, tmp_path, monkeypatch, args,
+                                      header):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_text(json.dumps([{"k": str(i)} for i in range(9)]))
         monkeypatch.setitem(sys.modules, "numpy", None)
         monkeypatch.delitem(sys.modules, "mszip.bench", raising=False)
         monkeypatch.delattr(mszip, "bench", raising=False)
         res = runner.invoke(main, args)
-        assert res.exit_code == 1
-        assert "mszip[bench]" in res.output
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[0] == header

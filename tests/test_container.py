@@ -163,6 +163,23 @@ class TestCorruption:
          "truncated codec alphabet"),
         (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL, b"\x08\x01\x01a\x04"),
          "do not sum to the stated precision"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL, b"\x04\x00"),
+         "alphabet is empty"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL,
+                                 b"\x04\x02\x01a\x01b\x00\x04"),
+         "all masses must be >= 1"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL,
+                                 b"\x04\x02\x01a\x01b\x01\x02"),
+         "precision must be a power of two, got 3"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL,
+                                 b"\x04\x02\x01a\x01a\x02\x02"),
+         "alphabet must be strictly increasing"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL,
+                                 encode_uvarint(1 << 40) + b"\x01\x01a"
+                                 + encode_uvarint(1 << 40)),
+         f"precision {1 << 40} exceeds"),
+        (lambda: codec_from_blob(KIND_FLAT, CODEC_BYTES, encode_uvarint((1 << 32) - 1)),
+         f"max_len {(1 << 32) - 1} exceeds"),
         (lambda: pack(Container(kind=7, codec_id=CODEC_BYTES, codec_blob=b"\x00",
                                 size=0, inner_sizes=(), state=b"")),
          "unknown payload kind 7"),
@@ -174,9 +191,11 @@ class TestCorruption:
         (lambda: decode_uvarint(b"\xff" * 10), "varint too long"),
     ], ids=["alphabet-not-bytes", "unknown-codec-class", "bytes-trailing",
             "categorical-trailing", "nested-categorical", "truncated-alphabet",
-            "masses-off-precision", "pack-unknown-kind", "truncated-header",
-            "truncated-params", "unpack-unknown-kind", "truncated-checksum",
-            "truncated-varint", "varint-too-long"])
+            "masses-off-precision", "no-symbols", "zero-mass", "masses-sum-3",
+            "duplicate-symbol", "precision-2^40", "max-len-2^32-1",
+            "pack-unknown-kind", "truncated-header", "truncated-params",
+            "unpack-unknown-kind", "truncated-checksum", "truncated-varint",
+            "varint-too-long"])
     def test_format_errors_name_the_fault(self, call, fragment):
         with pytest.raises(FormatError, match=fragment):
             call()
