@@ -10,8 +10,7 @@ and the decoder reverses both steps exactly.
 from .ans import (B, CodeTriple, L, decode_advance, decode_peek, deserialize,
                   encode_op, length_bits, serialize, state_new)
 from .container import Container, codec_blob, codec_from_blob, crc32c, pack, unpack
-from .errors import (CapacityError, ContractError, FormatError, IngestError,
-                     MszipError, NotFoundError)
+from .errors import ContractError, FormatError, IngestError, MszipError
 from .mscodec import (RateReport, decode_multiset, encode_multiset,
                       encode_sequence, info_content, permutation_bits,
                       rate_report, sample_decode, sample_encode)

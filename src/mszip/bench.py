@@ -42,19 +42,6 @@ from .nested import NestedMultiset, PairCodec, decode_nested, encode_nested, \
     ingest_json_records, nested_savings_bound, sequence_state
 from .symbols import QuantizedCategorical
 
-SYNTHETIC_COLUMNS = [
-    "alphabet_size", "multiset_size", "unique_symbols", "repetition", "seed",
-    "precision", "compressed_bits", "info_bits", "sequence_bits", "savings_bits",
-    "encode_s", "decode_s", "encoder_visits", "encoder_ops", "decoder_visits",
-    "decoder_ops",
-]
-
-JSON_COLUMNS = [
-    "records", "pairs", "repetition", "compressed_bits", "sequence_bits",
-    "savings_bits", "bound_bits", "savings_ratio", "encode_s", "decode_s",
-]
-
-
 def gen_dirichlet_source(alphabet_size: int, seed) -> list[float]:
     """Skewed pmf over [0, alphabet_size) from Dirichlet(alpha_k = k).
 
@@ -126,6 +113,8 @@ def synthetic_rows(unique: int, sizes, alphabets, seed: int = 0,
     """One row per (alphabet, repetition, size) multiset of ``unique`` symbols."""
     if reps < 1:
         raise ContractError("repetitions must be >= 1")
+    if not sizes or not alphabets:
+        raise ContractError("need at least one size and one alphabet")
     for a in alphabets:
         if unique > a:
             raise ContractError(
@@ -165,9 +154,7 @@ def synthetic_rows(unique: int, sizes, alphabets, seed: int = 0,
             "encode_s": round(median(r[3] for r in runs), 6),
             "decode_s": round(median(r[4] for r in runs), 6),
             "encoder_visits": etree.visits,
-            "encoder_ops": etree.ops,
             "decoder_visits": dtree.visits,
-            "decoder_ops": dtree.ops,
         })
     return rows
 
@@ -193,6 +180,8 @@ def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
         raise ContractError("no records to benchmark")
     if prefixes is None:
         prefixes = default_prefixes(len(records))
+    if not prefixes:
+        raise ContractError("need at least one prefix")
     for k in prefixes:
         if not 1 <= k <= len(records):
             raise ContractError(f"prefix {k} outside [1, {len(records)}]")
@@ -231,11 +220,12 @@ def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
     return rows
 
 
-def write_csv(rows: list[dict], columns: list[str], path=None):
-    """Write rows to ``path``, or stdout when no path is given."""
+def write_csv(rows: list[dict], path=None):
+    """Write rows to ``path``, or stdout when no path is given, under a header
+    of the first row's keys."""
     out = open(path, "w", newline="") if path else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=columns)
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     finally:

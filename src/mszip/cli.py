@@ -19,13 +19,13 @@ from .symbols import ByteStringCodec, QuantizedCategorical
 
 
 class _Main(click.Group):
-    """The one error boundary: any ``MszipError`` becomes ``Error: <message>``
-    with exit code 1."""
+    """The one error boundary: any ``MszipError`` or ``OSError`` becomes
+    ``Error: <message>`` with exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except MszipError as e:
+        except (MszipError, OSError) as e:
             raise click.ClickException(str(e)) from None
 
 
@@ -174,7 +174,7 @@ def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
     """Rate and timing sweep over synthetic Dirichlet-skewed multisets."""
     from . import bench  # imported here so that ``import mszip.cli`` stays light
     rows = bench.synthetic_rows(unique, sizes, alphabets, seed, reps)
-    bench.write_csv(rows, bench.SYNTHETIC_COLUMNS, csv_path)
+    bench.write_csv(rows, csv_path)
     if csv_path:
         click.echo(f"wrote {len(rows)} rows to {csv_path}")
 
@@ -192,7 +192,7 @@ def bench_json(json_file, reps, prefixes, csv_path):
     from . import bench
     rows = bench.json_rows(json_file.read_bytes(), repetitions=reps,
                            prefixes=prefixes)
-    bench.write_csv(rows, bench.JSON_COLUMNS, csv_path)
+    bench.write_csv(rows, csv_path)
     if csv_path:
         click.echo(f"wrote {len(rows)} rows to {csv_path}")
 

@@ -9,14 +9,6 @@ class ContractError(MszipError, ValueError):
     """An operation was called outside its documented preconditions."""
 
 
-class NotFoundError(MszipError, KeyError):
-    """A symbol is not present in the structure or alphabet."""
-
-
-class CapacityError(MszipError, ValueError):
-    """An input exceeds a configured capacity (payload length, alphabet size)."""
-
-
 class FormatError(MszipError, ValueError):
     """Serialized bytes do not conform to the expected format."""
 

@@ -16,8 +16,8 @@ so lookup and mutation cost one root-to-node pass; the read-only
 ``forward_lookup`` (symbol to (c, p)) and ``reverse_lookup`` (index to
 (symbol, c, p)) are the same two walks with a zero step.
 
-Trees count the nodes they touch (``visits``/``ops``) so complexity claims
-can be checked empirically.
+Trees count the nodes they touch (``visits``) so complexity claims can be
+checked empirically.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import index as _int
 
-from .errors import ContractError, NotFoundError
+from .errors import ContractError
 
 
 class Multiset:
@@ -107,7 +107,6 @@ def _index_walk(step, doc):
             if i < cnt:
                 node.cnt = cnt + step
                 self.visits += seen
-                self.ops += 1
                 return node.sym, offset, cnt
             i -= cnt
             offset += cnt
@@ -141,12 +140,10 @@ def _symbol_walk(step, doc):
                 cnt = node.cnt + step
                 node.cnt = cnt
                 self.visits += seen
-                self.ops += 1
                 return offset + node.lt, cnt
-        self.ops += 1
         if not step:
             self.visits += seen
-            raise NotFoundError(sym)
+            raise ContractError(f"symbol {sym!r} is not in the tree")
         leaf = _Node(sym, 1)
         if parent is None:
             self.root = leaf
@@ -167,16 +164,15 @@ class FreqTree:
     Each node keeps its symbol's count and its left subtree's count; the
     tree keeps ``total``, the count of all occurrences, up to date."""
 
-    __slots__ = ("root", "total", "visits", "ops")
+    __slots__ = ("root", "total", "visits")
 
     def __init__(self):
         self.root = None
         self.total = 0
-        self.visits = 0  # nodes touched, cumulative across operations
-        self.ops = 0
+        self.visits = 0  # nodes touched, cumulative across walks
 
     forward_lookup = _symbol_walk(0, """Return (c, p): occurrences ordered
-        before ``sym``, and its count (0 once drained); ``NotFoundError`` if
+        before ``sym``, and its count (0 once drained); ``ContractError`` if
         ``sym`` has no node.""")
     reverse_lookup = _index_walk(0, """Return (sym, c, p) for the unique
         interval containing ``i``.""")

@@ -21,7 +21,7 @@ from itertools import repeat
 from operator import index as _int
 
 from .ans import L, CodeTriple, decode_advance, decode_peek, encode_op
-from .errors import CapacityError, ContractError, NotFoundError
+from .errors import ContractError
 
 
 def quantize_pmf(weights, precision) -> list[int]:
@@ -44,7 +44,7 @@ def quantize_pmf(weights, precision) -> list[int]:
     if total <= 0:
         raise ContractError("at least one weight must be positive")
     if n > precision:
-        raise CapacityError(f"{n} symbols need precision >= {n}, got {precision}")
+        raise ContractError(f"{n} symbols need precision >= {n}, got {precision}")
     shares = [w / total * precision for w in weights]
     masses = [max(1, int(sh)) for sh in shares]
     residue = precision - sum(masses)
@@ -57,9 +57,7 @@ def quantize_pmf(weights, precision) -> list[int]:
     elif residue < 0:
         heap = [(shares[k] - masses[k], k) for k in range(n) if masses[k] > 1]
         heapq.heapify(heap)
-        while residue:
-            if not heap:
-                raise ContractError("cannot satisfy minimum masses")  # unreachable
+        while residue:  # masses sum past precision >= n, so some mass is > 1
             _, k = heapq.heappop(heap)
             masses[k] -= 1
             residue += 1
@@ -129,13 +127,13 @@ class QuantizedCategorical:
         try:
             return self._index[sym]
         except (KeyError, TypeError):
-            raise NotFoundError(sym) from None
+            raise ContractError(f"symbol {sym!r} is not in the alphabet") from None
 
     def encode(self, state, sym):
         try:
             t = self._triples[self._index[sym]]
         except (KeyError, TypeError):
-            raise NotFoundError(sym) from None
+            raise ContractError(f"symbol {sym!r} is not in the alphabet") from None
         return encode_op(state, t)
 
     def decode(self, state):
@@ -160,7 +158,7 @@ class UniformCodec:
     def encode(self, state, sym):
         sym = _int(sym)
         if not 0 <= sym < self.size:
-            raise NotFoundError(sym)
+            raise ContractError(f"symbol {sym} outside [0, {self.size})")
         return encode_op(state, CodeTriple(sym, 1, self.size))
 
     def decode(self, state):
@@ -209,7 +207,7 @@ class ByteStringCodec:
 
     def encode(self, state, payload: bytes):
         if len(payload) > self.max_len:
-            raise CapacityError(
+            raise ContractError(
                 f"payload of {len(payload)} bytes exceeds max_len {self.max_len}")
         # bytes() keeps a sequence of ints from indexing the table out of range
         payload = bytes(payload)

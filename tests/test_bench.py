@@ -10,9 +10,8 @@ import pytest
 
 import mszip
 from mszip import ContractError
-from mszip.bench import (JSON_COLUMNS, SYNTHETIC_COLUMNS, default_prefixes,
-                         gen_dirichlet_source, gen_fixed_unique_multiset,
-                         json_rows, synthetic_rows)
+from mszip.bench import (default_prefixes, gen_dirichlet_source,
+                         gen_fixed_unique_multiset, json_rows, synthetic_rows)
 
 
 class TestDirichletSource:
@@ -27,6 +26,10 @@ class TestDirichletSource:
         b = gen_dirichlet_source(64, seed=9)
         assert a == b
         assert a != gen_dirichlet_source(64, seed=10)
+
+    def test_empty_alphabet(self):
+        with pytest.raises(ContractError, match="at least one symbol"):
+            gen_dirichlet_source(0, 0)
 
     def test_skew_grows_with_index(self):
         # alpha_k = k concentrates mass on high symbols
@@ -73,12 +76,14 @@ class TestSyntheticRows:
         rows = synthetic_rows(16, (128,), (64,), seed=0, reps=2)
         assert len(rows) == 2
         for row in rows:
-            assert list(row) == SYNTHETIC_COLUMNS
+            assert list(row) == [
+                "alphabet_size", "multiset_size", "unique_symbols", "repetition",
+                "seed", "precision", "compressed_bits", "info_bits",
+                "sequence_bits", "savings_bits", "encode_s", "decode_s",
+                "encoder_visits", "decoder_visits"]
             assert row["compressed_bits"] >= row["info_bits"]
             assert row["compressed_bits"] <= row["info_bits"] + 96
             assert row["savings_bits"] == row["sequence_bits"] - row["compressed_bits"]
-            assert row["encoder_ops"] == 128
-            assert row["decoder_ops"] == 128
 
     def test_determinism_except_times(self):
         strip = lambda row: {k: v for k, v in row.items()
@@ -108,6 +113,9 @@ class TestSyntheticRows:
             synthetic_rows(100, (64,), (128,))
         with pytest.raises(ContractError, match="repetitions"):
             synthetic_rows(8, (64,), (32,), reps=0)
+        for sizes, alphabets in [((), (32,)), ((64,), ())]:
+            with pytest.raises(ContractError, match="one size and one alphabet"):
+                synthetic_rows(8, sizes, alphabets)
 
 
 class TestJsonRows:
@@ -117,9 +125,20 @@ class TestJsonRows:
         rows = json_rows(text, repetitions=1, prefixes=[4, 20])
         assert [r["records"] for r in rows] == [4, 20]
         for row in rows:
-            assert list(row) == JSON_COLUMNS
+            assert list(row) == [
+                "records", "pairs", "repetition", "compressed_bits",
+                "sequence_bits", "savings_bits", "bound_bits", "savings_ratio",
+                "encode_s", "decode_s"]
             assert row["savings_bits"] <= row["bound_bits"]
             assert row["savings_ratio"] <= 1.0
+
+    @pytest.mark.parametrize("text, prefixes, fragment", [
+        ("[]", None, "no records to benchmark"),
+        ('[{"k": "v"}]', [], "at least one prefix"),
+    ], ids=["no-records", "no-prefixes"])
+    def test_empty_sweep(self, text, prefixes, fragment):
+        with pytest.raises(ContractError, match=fragment):
+            json_rows(text, prefixes=prefixes)
 
     def test_default_prefixes(self):
         assert default_prefixes(100) == [8, 16, 32, 64, 100]

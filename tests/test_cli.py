@@ -22,6 +22,14 @@ def runner():
     return CliRunner()
 
 
+def empty_container() -> bytes:
+    codec = ByteStringCodec(0)
+    cid, blob = codec_blob(codec)
+    return pack(Container(
+        kind=KIND_FLAT, codec_id=cid, codec_blob=blob, size=0,
+        inner_sizes=(), state=serialize(encode_multiset(Multiset(), codec))))
+
+
 def make_inputs(tmp_path, contents):
     paths = []
     for k, data in enumerate(contents):
@@ -84,12 +92,8 @@ class TestCompressDecompress:
         assert not (tmp_path / "c.msz").exists()
 
     def test_empty_container_decompresses_to_empty_dir(self, runner, tmp_path):
-        codec = ByteStringCodec(0)
-        cid, blob = codec_blob(codec)
         box = tmp_path / "empty.msz"
-        box.write_bytes(pack(Container(
-            kind=KIND_FLAT, codec_id=cid, codec_blob=blob, size=0,
-            inner_sizes=(), state=serialize(encode_multiset(Multiset(), codec)))))
+        box.write_bytes(empty_container())
         outdir = tmp_path / "nothing"
         res = runner.invoke(main, ["decompress", str(box), "-o", str(outdir)])
         assert res.exit_code == 0, res.output
@@ -166,7 +170,8 @@ class TestInfo:
 
 
 class TestErrorBoundary:
-    """Every ``MszipError`` reaches the user as one ``Error:`` line."""
+    """Every ``MszipError`` or ``OSError`` reaches the user as one ``Error:``
+    line."""
 
     @pytest.mark.parametrize("command, content, fragment", [
         (["info"], b"not a container", "bad magic"),
@@ -175,11 +180,19 @@ class TestErrorBoundary:
          "document root: top-level value must be an array"),
         (["compress", "--nested", "-o", "out.msz"], b'[{"a":"\\ud800"}]',
          "record 0, key 'a': string is not valid UTF-8"),
-    ], ids=["info", "decompress", "nested-not-array", "nested-surrogate"])
+        (["compress", "-o", "missing/out.msz"], b"payload",
+         "[Errno 2] No such file or directory"),
+        (["compress", "-o", "adir"], b"payload", "[Errno 21] Is a directory"),
+        (["decompress", "-o", "plain/sub"], empty_container(),
+         "[Errno 20] Not a directory"),
+    ], ids=["info", "decompress", "nested-not-array", "nested-surrogate",
+            "compress-missing-dir", "compress-onto-dir", "decompress-under-file"])
     def test_errors_exit_1_with_one_line(self, runner, tmp_path, monkeypatch,
                                          command, content, fragment):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "input").write_bytes(content)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "plain").write_bytes(b"")
         res = runner.invoke(main, [*command, "input"])
         assert res.exit_code == 1
         assert f"Error: {fragment}" in res.output
@@ -222,8 +235,9 @@ class TestBenchCommands:
         (["bench-json", "r.json", "--prefixes", ","], 2, "comma-separated list"),
         (["bench-synthetic", "--sizes", ""], 2, "comma-separated list"),
         (["bench-synthetic", "--alphabets", ""], 2, "comma-separated list"),
+        (["bench-synthetic", "--sizes", "1,x"], 2, "comma-separated list"),
     ], ids=["json-reps-0", "prefix-0", "prefix-negative", "prefix-past-end",
-            "prefixes-empty", "sizes-empty", "alphabets-empty"])
+            "prefixes-empty", "sizes-empty", "alphabets-empty", "sizes-not-integer"])
     def test_empty_or_wrong_sweeps_are_errors(self, runner, tmp_path, monkeypatch,
                                               args, code, fragment):
         monkeypatch.chdir(tmp_path)
@@ -301,7 +315,7 @@ class TestNumpyIsOptional:
         (["bench-synthetic", "--unique", "8", "--sizes", "64", "--alphabets", "32"],
          "alphabet_size,multiset_size,unique_symbols,repetition,seed,precision,"
          "compressed_bits,info_bits,sequence_bits,savings_bits,encode_s,decode_s,"
-         "encoder_visits,encoder_ops,decoder_visits,decoder_ops"),
+         "encoder_visits,decoder_visits"),
         (["bench-json", "r.json"],
          "records,pairs,repetition,compressed_bits,sequence_bits,savings_bits,"
          "bound_bits,savings_ratio,encode_s,decode_s"),

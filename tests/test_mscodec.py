@@ -135,7 +135,7 @@ class TestSizeCheck:
         tree = FreqTree()
         with pytest.raises(ContractError, match=str(size)):
             sample_decode(state_new(), size, UniformCodec(4), tree)
-        assert (tree.root, tree.total, tree.ops) == (None, 0, 0)
+        assert (tree.root, tree.total, tree.visits) == (None, 0, 0)
 
 
 class TestResidualCheck:

@@ -43,6 +43,14 @@ class TestRecord:
         with pytest.raises(ContractError):
             Record([("a", "1")])
 
+    def test_outer_symbols_must_be_records(self):
+        with pytest.raises(ContractError, match="outer symbols must be Records"):
+            NestedMultiset(Multiset([(1, 1)]))
+
+    def test_pair_bits(self):
+        # two 4-bit length codes at max_len 15 and 8 bits per payload byte
+        assert PairCodec(15).bits((b"k", b"vv")) == 32
+
 
 class TestNestedRoundTrip:
     def test_two_by_two(self):
