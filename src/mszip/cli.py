@@ -74,11 +74,10 @@ def compress(inputs, output, codec_name, precision, nested):
         compressed = length_bits(state)
         sequence = length_bits(sequence_state(nm, codec))
         bound = nested_savings_bound(nm)
-        click.echo(f"records: {nm.outer_size} ({nm.pair_count} pairs)")
-        click.echo(f"compressed_bits: {compressed}")
-        click.echo(f"sequence_bits: {sequence}")
-        click.echo(f"savings_bits: {sequence - compressed} "
-                   f"(bound {bound:.1f})")
+        report = [f"records: {nm.outer_size} ({nm.pair_count} pairs)",
+                  f"compressed_bits: {compressed}",
+                  f"sequence_bits: {sequence}",
+                  f"savings_bits: {sequence - compressed} (bound {bound:.1f})"]
     else:
         payloads = [p.read_bytes() for p in inputs]
         m = Multiset.from_iterable(payloads)
@@ -91,18 +90,19 @@ def compress(inputs, output, codec_name, precision, nested):
                 alphabet, weights, 1 << precision)
         state = encode_multiset(m, codec)
         kind, size, sizes = KIND_FLAT, m.total, ()
-        report = rate_report(m, codec)
-        click.echo(f"symbols: {m.total} ({m.unique} unique)")
-        click.echo(f"compressed_bits: {report.compressed_bits}")
-        click.echo(f"info_content_bits: {report.info_content_bits:.1f}")
-        click.echo(f"sequence_bits: {report.sequence_bits}")
-        click.echo(f"savings_bits: {report.savings_bits}")
+        rate = rate_report(m, codec)
+        report = [f"symbols: {m.total} ({m.unique} unique)",
+                  f"compressed_bits: {rate.compressed_bits}",
+                  f"info_content_bits: {rate.info_content_bits:.1f}",
+                  f"sequence_bits: {rate.sequence_bits}",
+                  f"savings_bits: {rate.savings_bits}"]
     codec_id, blob = codec_blob(codec)
     data = pack(Container(kind=kind, codec_id=codec_id, codec_blob=blob,
                           size=size, inner_sizes=tuple(sizes),
                           state=serialize(state)))
-    output.write_bytes(data)
-    click.echo(f"container_bytes: {len(data)}")
+    output.write_bytes(data)  # before any figure, so a failed write prints none
+    report.append(f"container_bytes: {len(data)}")
+    click.echo("\n".join(report))
 
 
 @main.command()

@@ -14,6 +14,15 @@ have come from. A clean decode finishes back at the minimal state.
 
 The compressed output depends only on the canonical multiset: any input
 ordering of the same symbols produces identical bits.
+
+Both loops do the ANS arithmetic of their sampling step inline: a sampling
+step of ``sample_encode`` is ``decode_advance`` and one of ``sample_decode``
+is ``encode_op``, on the triple ``(c, p, n)`` that the tree walk returns with
+the tree total ``n``. Only the common case is inline. A head that holds a
+word which encode pulled back is left to ``decode_advance``, and an op that
+spills to ``encode_op``; the two functions stay the reference the loops must
+match bit for bit. Each loop checks once, before its first step, that no
+tree total will exceed ``L``; the walks give ``0 <= c < c + p <= n``.
 """
 
 from __future__ import annotations
@@ -34,14 +43,33 @@ def sample_encode(s: tuple, tree: FreqTree, codec) -> tuple:
     """Drain ``tree`` onto ``s``: sample an occurrence, then encode its symbol."""
     remove, encode = tree.lookup_and_remove, codec.encode
     n = tree.total  # counted down here, not read back from the tree
+    if n > L:
+        raise ContractError(f"tree total {n} exceeds {L}")
+    head, words = s
     while n:
-        head = s[0]  # decode_peek(s, n), inline: skip the word encode pulled back
         if head >= _HALF and head >= n * (L // n) * B:
-            head >>= WORD_BITS
-        sym, c, p = remove(head % n)
-        s = encode(decode_advance(s, (c, p, n)), sym)
+            # the head holds a word that encode pulled back
+            sym, c, p = remove((head >> WORD_BITS) % n)
+            s = decode_advance((head, words), (c, p, n))
+        else:  # decode_advance(s, (c, p, n)), inline
+            i = head % n
+            sym, c, p = remove(i)
+            if p == 1:
+                head //= n
+            else:
+                head = p * (head // n) + i - c
+            while head < L:
+                if words:
+                    w, words = words
+                    head = (head << WORD_BITS) | w
+                elif head:
+                    head <<= WORD_BITS
+                else:
+                    raise ContractError("cannot refill an exhausted state")
+            s = head, words
+        head, words = encode(s, sym)
         n -= 1
-    return s
+    return head, words
 
 
 def sample_decode(s: tuple, size, codec, tree: FreqTree) -> tuple:
@@ -54,11 +82,21 @@ def sample_decode(s: tuple, size, codec, tree: FreqTree) -> tuple:
         raise ContractError(f"size must be >= 0, got {size}")
     insert, decode = tree.insert_and_lookup, codec.decode
     n = tree.total  # counted up here, not read back from the tree
+    if n + size > L:
+        raise ContractError(f"tree total {n + size} would exceed {L}")
     for _ in range(size):
-        s, sym = decode(s)
+        (head, words), sym = decode(s)
         c, p = insert(sym)
         n += 1
-        s = encode_op(s, (c, p, n))
+        # encode_op(s, (c, p, n)), inline unless it spills; the codec leaves
+        # a canonical head, so an op that does not spill needs no refill
+        if head < (L // n) * B * p:
+            if p == 1:
+                s = head * n + c, words
+            else:
+                s = n * (head // p) + c + head % p, words
+        else:
+            s = encode_op((head, words), (c, p, n))
     return s
 
 

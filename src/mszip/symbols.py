@@ -2,9 +2,10 @@
 
 Every codec exposes ``encode(state, symbol) -> state`` and
 ``decode(state) -> (state, symbol)`` as exact inverses, plus ``bits(symbol)``,
-the ideal code length of a symbol under the codec's model. Codecs are
-immutable after construction and never depend on anything but the state
-passed in, so they compose freely with the sampling loops.
+the ideal code length of a symbol under the codec's model. Codecs do not
+change after construction, apart from the decode table a categorical builds
+once on its first decode, and never depend on anything but the state passed
+in, so they compose freely with the sampling loops.
 
 The coder head is canonical after every operation at any precision (see the
 ans module notes). All shipped codecs use power-of-two precisions, under which
@@ -16,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+from array import array
 from bisect import bisect_right
 from itertools import repeat
 from operator import index as _int
@@ -81,11 +83,18 @@ class QuantizedCategorical:
     and one ``encode_op`` on that position's triple. Decoding peeks the index
     as the head's low bits, ``head & (precision - 1)``, which equals
     ``decode_peek`` because the precision is a power of two and the head is
-    canonical; it then binary-searches the cumulative table for the interval
-    containing that index, so it costs O(log alphabet) regardless of masses.
+    canonical. The index's top 16 bits then pick a bucket of a slot table,
+    which holds the position whose interval contains the bucket's first
+    index, plus a last entry for the final position: at most 2**16 + 1
+    entries. Up to precision 2**16 each bucket is one index and the entry is
+    the answer; above it, a binary search between the positions of this
+    bucket and the next finishes the lookup. So up to precision 2**16 a
+    decode takes the same steps whatever the alphabet. The table is built on
+    the first decode, so codecs that only encode never pay for it.
     """
 
-    __slots__ = ("alphabet", "pmf", "cdf", "precision", "_index", "_triples")
+    __slots__ = ("alphabet", "pmf", "cdf", "precision", "_index", "_triples",
+                 "_shift", "_slots")
 
     def __init__(self, alphabet, pmf):
         alphabet = list(alphabet)
@@ -116,6 +125,8 @@ class QuantizedCategorical:
         self.precision = precision
         self._index = index
         self._triples = list(zip(cdf, pmf, repeat(precision)))
+        self._shift = max(0, precision.bit_length() - 17)  # bucket width, log2
+        self._slots = None  # the slot table, built by the first decode
 
     @classmethod
     def from_weights(cls, alphabet, weights, precision=1 << 16):
@@ -136,8 +147,29 @@ class QuantizedCategorical:
             raise ContractError(f"symbol {sym!r} is not in the alphabet") from None
         return encode_op(state, t)
 
+    def _build_slots(self) -> array:
+        # Bucket j starts at index j << shift, so symbol k's interval
+        # [c, c + p) holds the first index of the buckets up to, not
+        # including, ceil((c + p) / 2**shift), from where symbol k - 1 left off.
+        shift = self._shift
+        slots = array("I")
+        for k, (c, p) in enumerate(zip(self.cdf, self.pmf)):
+            slots.extend(repeat(k, -(-(c + p) >> shift) - len(slots)))
+        slots.append(len(self.cdf) - 1)
+        self._slots = slots
+        return slots
+
     def decode(self, state):
-        k = bisect_right(self.cdf, state[0] & (self.precision - 1)) - 1
+        slots = self._slots
+        if slots is None:
+            slots = self._build_slots()
+        i = state[0] & (self.precision - 1)
+        j = i >> self._shift
+        k = slots[j]
+        # j == i when buckets are single indices (and at index 0): then k is
+        # exact; otherwise search the intervals this bucket overlaps
+        if j != i and k != slots[j + 1]:
+            k = bisect_right(self.cdf, i, k, slots[j + 1] + 1) - 1
         return decode_advance(state, self._triples[k]), self.alphabet[k]
 
     def bits(self, sym) -> float:

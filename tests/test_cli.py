@@ -197,6 +197,9 @@ class TestErrorBoundary:
         assert res.exit_code == 1
         assert f"Error: {fragment}" in res.output
         assert "Traceback" not in res.output
+        # compress writes before it reports, so a failed write reports nothing
+        assert "compressed_bits:" not in res.output
+        assert len(res.output.splitlines()) == 1
         assert not (tmp_path / "restored").exists()
         assert not (tmp_path / "out.msz").exists()
 

@@ -8,11 +8,11 @@ import pytest
 
 from helpers import random_multiset, sample_decode_reference, sample_encode_reference
 from mszip import (B, L, ByteStringCodec, CodeTriple, ContractError, FormatError,
-                   FreqTree, Multiset, QuantizedCategorical, UniformCodec,
+                   FreqTree, Multiset, QuantizedCategorical, UniformCodec, ans,
                    build_balanced, decode_advance, decode_multiset, decode_peek,
                    deserialize, encode_multiset, encode_op, info_content,
-                   length_bits, permutation_bits, rate_report, sample_decode,
-                   sample_encode, serialize, state_new)
+                   length_bits, mscodec, permutation_bits, rate_report,
+                   sample_decode, sample_encode, serialize, state_new)
 
 ABC = QuantizedCategorical.from_weights(["a", "b", "c"], [1, 1, 1], 1 << 16)
 
@@ -125,6 +125,72 @@ class TestInlinePeek:
             s = (rng.randrange(n * (L // n) * B, B * L), (rng.randrange(1, B), ()))
             assert serialize(sample_encode(s, build_balanced(m), codec)) == \
                 serialize(sample_encode_reference(s, build_balanced(m), codec))
+
+
+def _counted(monkeypatch, name):
+    """Count the calls ``mscodec`` makes to the ANS function ``name``."""
+    calls = []
+    fn = getattr(ans, name)
+    monkeypatch.setattr(mscodec, name, lambda s, t: calls.append(t) or fn(s, t))
+    return calls
+
+
+class TestInlineOps:
+    """Each sampling step does the ANS arithmetic of ``decode_advance``
+    (encode) or ``encode_op`` (decode) inline and calls the function only on
+    its rare path; either way the loops match the reference loops bit for
+    bit. Tree totals 3, 5, 7 and 100 do not divide ``L``."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 100])
+    def test_encode_takes_both_paths(self, monkeypatch, n):
+        calls = _counted(monkeypatch, "decode_advance")
+        rng = random.Random(n)
+        codec = UniformCodec(4)
+        for k in range(60):
+            m = Multiset.from_iterable(rng.randrange(4) for _ in range(n))
+            # every other head holds a word that encode pulled back
+            lo = n * (L // n) * B if k % 2 else L
+            s = (rng.randrange(lo, B * L), (rng.randrange(1, B), ()))
+            assert serialize(sample_encode(s, build_balanced(m), codec)) == \
+                serialize(sample_encode_reference(s, build_balanced(m), codec))
+        assert 30 <= len(calls) < 60 * n
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 100])
+    def test_decode_takes_both_paths(self, monkeypatch, n):
+        calls = _counted(monkeypatch, "encode_op")
+        rng = random.Random(n)
+        codec = UniformCodec(4)
+        for _ in range(200):
+            # the one decoded symbol takes the tree total to n
+            start = Multiset.from_iterable(rng.randrange(4) for _ in range(n - 1))
+            bits = rng.randrange(32, 64)  # heads of every length, so some spill
+            s = (rng.randrange(1 << (bits - 1), 1 << bits), (rng.randrange(1, B), ()))
+            got = sample_decode(s, 1, codec, build_balanced(start))
+            want = sample_decode_reference(s, 1, codec, build_balanced(start))
+            assert serialize(got) == serialize(want)
+        assert 0 < len(calls) < 200
+
+    def test_long_decode_spills_many_times(self, monkeypatch):
+        calls = _counted(monkeypatch, "encode_op")
+        rng = random.Random(34)
+        codec = UniformCodec(1 << 16)
+        start = Multiset([(k, 1) for k in range(0, 1 << 16, 64)])
+        s = deserialize(rng.randbytes(4 * 3000) + (L + rng.randrange(L)).to_bytes(8, "big"))
+        got = sample_decode(s, 5000, codec, build_balanced(start))
+        want = sample_decode_reference(s, 5000, codec, build_balanced(start))
+        assert serialize(got) == serialize(want)
+        assert 1000 < len(calls) < 5000
+
+    def test_tree_total_above_L_raises_before_the_first_step(self):
+        codec = UniformCodec(4)
+        tree = build_balanced(Multiset([(0, 2**31 + 1)]))
+        with pytest.raises(ContractError, match=f"tree total {2**31 + 1} exceeds"):
+            sample_encode(state_new(), tree, codec)
+        assert (tree.total, tree.visits) == (2**31 + 1, 0)
+        tree = build_balanced(Multiset([(0, L)]))
+        with pytest.raises(ContractError, match=f"tree total {L + 1} would exceed"):
+            sample_decode(state_new(), 1, codec, tree)
+        assert (tree.total, tree.visits) == (L, 0)
 
 
 class TestSizeCheck:

@@ -95,12 +95,15 @@ class TestCategorical:
 
     def test_table_codec_matches_reference_at_every_head_length(self):
         rng = random.Random(8)
-        # Precisions 2**0, 2**16 and 2**31; zero weights get mass 1.
+        # Precisions 2**0 to 2**31; above 2**16 a slot-table bucket spans
+        # several indices. The last codec's alphabet exceeds 2**16. Zero
+        # weights get mass 1.
         codecs = [QuantizedCategorical(["only"], [1])] + [
             QuantizedCategorical.from_weights(
-                sorted(rng.sample(range(1 << 20), 24)),
-                [rng.choice([0.0, rng.random()]) for _ in range(24)], precision)
-            for precision in (1 << 16, 1 << 31)]
+                sorted(rng.sample(range(1 << 20), size)),
+                [rng.choice([0.0, rng.random()]) for _ in range(size)], precision)
+            for size, precision in [(24, 1 << 16), (24, 1 << 31), (24, 1 << 17),
+                                    (24, 1 << 20), (24, 1 << 24), (70_000, 1 << 20)]]
         for codec in codecs:
             for k, sym in enumerate(codec.alphabet):
                 assert categorical_triple(codec, sym) == CodeTriple(
@@ -115,9 +118,33 @@ class TestCategorical:
                 where = (codec.precision, head, words)
                 assert s[0] & (codec.precision - 1) == decode_peek(s, codec.precision)
                 assert codec.decode(s) == categorical_decode_reference(codec, s), where
-                for sym in codec.alphabet:
+                for sym in codec.alphabet[::len(codec.alphabet) // 24 or 1]:
                     assert codec.encode(s, sym) == \
                         categorical_encode_reference(codec, s, sym), (*where, sym)
+
+    @pytest.mark.parametrize("precision", [1 << 17, 1 << 20, 1 << 24, 1 << 31])
+    def test_slot_table_at_every_interval_edge(self, precision):
+        # a bucket of 2**(k - 16) indices can hold many intervals, found by a
+        # search between the slots of this bucket and the next
+        rng = random.Random(precision)
+        codec = QuantizedCategorical.from_weights(
+            range(3000), [rng.choice([0.0, rng.random()]) for _ in range(3000)],
+            precision)
+        for c, p in zip(codec.cdf, codec.pmf):
+            for i in (c, c + p - 1):
+                s = ((1 << 62) | i, ())
+                assert codec.decode(s) == categorical_decode_reference(codec, s), i
+        assert len(codec._slots) == (1 << 16) + 1
+
+    def test_slot_table_is_built_by_the_first_decode_only(self):
+        codec = self.alphabet_codec()
+        s = codec.encode(state_new(), 3)
+        assert codec._slots is None
+        codec.decode(s)
+        table = codec._slots
+        assert len(table) == codec.precision + 1
+        codec.decode(s)
+        assert codec._slots is table
 
     @settings(max_examples=100)
     @given(st.randoms(use_true_random=False))
