@@ -14,7 +14,9 @@ from .errors import MszipError
 from .mscodec import decode_multiset, encode_multiset, rate_report
 from .multiset import Multiset
 from .nested import NestedMultiset, PairCodec, canonical_json, decode_nested, \
-    encode_nested, ingest_json_records, nested_savings_bound, sequence_state
+    encode_nested, ingest_json_records, nested_savings_bound
+# sequence_state is unused here; perfbench patches it by name.
+from .nested import sequence_state  # noqa: F401
 from .symbols import ByteStringCodec, QuantizedCategorical
 
 
@@ -59,7 +61,12 @@ def _int_list(_ctx, _param, value):
 @click.option("--nested", is_flag=True,
               help="Treat the single input as a JSON array of flat objects.")
 def compress(inputs, output, codec_name, precision, nested):
-    """Compress input files (one symbol each), or one JSON file with --nested."""
+    """Compress input files (one symbol each), or one JSON file with --nested.
+
+    Flat compress prints the measured rate against the ordered baseline.
+    Nested compress encodes the records once and prints the ideal savings
+    as a bound; `bench-json` measures the ordered baseline.
+    """
     if nested:
         if len(inputs) != 1:
             raise click.UsageError("--nested takes exactly one JSON input file")
@@ -71,13 +78,9 @@ def compress(inputs, output, codec_name, precision, nested):
                                for p in r.pairs.expand() for f in p), default=0))
         state, sizes = encode_nested(nm, codec)
         kind, size = KIND_NESTED, nm.outer_size
-        compressed = length_bits(state)
-        sequence = length_bits(sequence_state(nm, codec))
-        bound = nested_savings_bound(nm)
         report = [f"records: {nm.outer_size} ({nm.pair_count} pairs)",
-                  f"compressed_bits: {compressed}",
-                  f"sequence_bits: {sequence}",
-                  f"savings_bits: {sequence - compressed} (bound {bound:.1f})"]
+                  f"compressed_bits: {length_bits(state)}",
+                  f"savings_bound_bits: {nested_savings_bound(nm):.1f}"]
     else:
         payloads = [p.read_bytes() for p in inputs]
         m = Multiset.from_iterable(payloads)

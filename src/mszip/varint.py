@@ -1,11 +1,11 @@
 """LEB128-style unsigned varints for headers and canonical keys."""
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 
 
 def encode_uvarint(n: int) -> bytes:
     if n < 0:
-        raise ValueError("varints are unsigned")
+        raise ContractError("varints are unsigned")
     if n < 0x80:
         return bytes((n,))
     out = bytearray()

@@ -11,8 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import mszip
-from mszip import (ByteStringCodec, Container, Multiset, codec_blob,
-                   encode_multiset, pack, serialize)
+from mszip import (ByteStringCodec, Container, Multiset, NestedMultiset,
+                   PairCodec, codec_blob, encode_multiset, ingest_json_records,
+                   nested_savings_bound, pack, serialize, unpack)
 from mszip.cli import main
 from mszip.container import KIND_FLAT
 
@@ -130,6 +131,50 @@ class TestNestedFlow:
         as_sets = lambda docs: sorted(sorted((k, str(v)) for k, v in d.items())
                                       for d in docs)
         assert as_sets(back) == as_sets(doc)
+
+    @staticmethod
+    def compress_nested(runner, tmp_path, doc):
+        src = tmp_path / "records.json"
+        src.write_text(json.dumps(doc))
+        box = tmp_path / "n.msz"
+        res = runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
+        assert res.exit_code == 0, res.output
+        return src, box, res.output
+
+    def test_one_codec_pass_per_pair(self, runner, tmp_path, monkeypatch):
+        def no_baseline(*_args):
+            raise AssertionError("compress ran the ordered baseline")
+
+        calls = []
+        encode = PairCodec.encode
+
+        def counted(self, state, pair):
+            calls.append(pair)
+            return encode(self, state, pair)
+
+        monkeypatch.setattr("mszip.cli.sequence_state", no_baseline)
+        monkeypatch.setattr(PairCodec, "encode", counted)
+        doc = [{"user": f"u{i % 5}", "id": str(i % 3), "x": "y"} for i in range(12)]
+        src, _, _ = self.compress_nested(runner, tmp_path, doc)
+        pair_count = NestedMultiset.from_records(
+            ingest_json_records(src.read_bytes())).pair_count
+        assert pair_count == 36
+        assert len(calls) == pair_count
+
+    def test_report_lines(self, runner, tmp_path):
+        doc = [{"user": f"u{i % 4}", "n": i % 3} for i in range(10)] + [{}]
+        src, box, output = self.compress_nested(runner, tmp_path, doc)
+        lines = dict(line.split(": ", 1) for line in output.splitlines())
+        nm = NestedMultiset.from_records(ingest_json_records(src.read_bytes()))
+        assert list(lines) == ["records", "compressed_bits", "savings_bound_bits",
+                               "container_bytes"]
+        assert lines["records"] == f"{nm.outer_size} ({nm.pair_count} pairs)"
+        assert int(lines["compressed_bits"]) == 8 * len(unpack(box.read_bytes()).state)
+        assert float(lines["savings_bound_bits"]) == pytest.approx(
+            nested_savings_bound(nm), abs=0.1)
+        assert int(lines["container_bytes"]) == box.stat().st_size
+        assert "sequence_bits:" not in output
+        assert "savings_bits:" not in output
 
     def test_nested_requires_single_input(self, runner, tmp_path):
         paths = make_inputs(tmp_path, [b"{}", b"{}"])

@@ -279,3 +279,14 @@ class TestVarint:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             encode_uvarint(-1)
+        with pytest.raises(MszipError, match="unsigned"):
+            encode_uvarint(-1)
+
+    @pytest.mark.parametrize("kind,size,inner", [(KIND_FLAT, -1, ()),
+                                                 (KIND_NESTED, 1, (-1,))],
+                             ids=["size", "inner_size"])
+    def test_pack_rejects_negative_sizes(self, kind, size, inner):
+        cid, blob = codec_blob(PairCodec(15))
+        with pytest.raises(MszipError, match="unsigned"):
+            pack(Container(kind=kind, codec_id=cid, codec_blob=blob, size=size,
+                           inner_sizes=inner, state=b"\x00" * 8))
