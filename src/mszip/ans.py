@@ -176,14 +176,14 @@ def deserialize(data: bytes) -> tuple:
     head = int.from_bytes(data[-8:], "big")
     if not L <= head < B * L:
         raise FormatError(f"state head {head:#x} outside [2**31, 2**63)")
-    stack = array("I")
-    stack.frombytes(data[:-8])
+    body = data[:-8]
+    bottom = (len(body) - len(body.lstrip(b"\0"))) & ~3  # zero words, in bytes
+    stack = array("I", body[bottom:])
     if sys.byteorder == "little":
         stack.byteswap()
     words: tuple = ()
     for w in stack:
-        if w or words:
-            words = (w, words)
+        words = (w, words)
     return head, words
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import click
 
-from .ans import deserialize, length_bits, serialize
+from .ans import deserialize, serialize
 from .container import (CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED,
                         Container, codec_blob, codec_from_blob, pack, unpack)
 from .errors import MszipError
@@ -74,12 +74,14 @@ def compress(inputs, output, codec_name, precision, nested):
             raise click.UsageError("--nested requires the bytes codec")
         records = ingest_json_records(inputs[0].read_bytes())
         nm = NestedMultiset.from_records(records)
-        codec = PairCodec(max((len(f) for r in records
-                               for p in r.pairs.expand() for f in p), default=0))
+        codec = PairCodec(max((len(f) for rec, _ in nm.records.pairs
+                               for (pair, _) in rec.pairs.pairs for f in pair),
+                              default=0))
         state, sizes = encode_nested(nm, codec)
+        state_bytes = serialize(state)
         kind, size = KIND_NESTED, nm.outer_size
         report = [f"records: {nm.outer_size} ({nm.pair_count} pairs)",
-                  f"compressed_bits: {length_bits(state)}",
+                  f"compressed_bits: {8 * len(state_bytes)}",
                   f"savings_bound_bits: {nested_savings_bound(nm):.1f}"]
     else:
         payloads = [p.read_bytes() for p in inputs]
@@ -91,7 +93,7 @@ def compress(inputs, output, codec_name, precision, nested):
             weights = [cnt for _, cnt in m.pairs]
             codec = QuantizedCategorical.from_weights(
                 alphabet, weights, 1 << precision)
-        state = encode_multiset(m, codec)
+        state_bytes = serialize(encode_multiset(m, codec))
         kind, size, sizes = KIND_FLAT, m.total, ()
         rate = rate_report(m, codec)
         report = [f"symbols: {m.total} ({m.unique} unique)",
@@ -102,7 +104,7 @@ def compress(inputs, output, codec_name, precision, nested):
     codec_id, blob = codec_blob(codec)
     data = pack(Container(kind=kind, codec_id=codec_id, codec_blob=blob,
                           size=size, inner_sizes=tuple(sizes),
-                          state=serialize(state)))
+                          state=state_bytes))
     output.write_bytes(data)  # before any figure, so a failed write prints none
     report.append(f"container_bytes: {len(data)}")
     click.echo("\n".join(report))

@@ -23,7 +23,7 @@ checked empirically.
 from __future__ import annotations
 
 from collections import Counter
-from operator import index as _int
+from operator import index as _int, lt
 
 from .errors import ContractError
 
@@ -48,7 +48,22 @@ class Multiset:
     @classmethod
     def from_iterable(cls, symbols) -> "Multiset":
         """Canonicalize any order of possibly repeating symbols."""
-        return cls(sorted(Counter(symbols).items()))
+        counts = Counter(iter(symbols))  # iter(): a mapping gives its keys
+        pairs = tuple(sorted(counts.items()))
+        # sorted() does not check that the order is total (sets are not)
+        syms = [sym for sym, _ in pairs]
+        if not all(map(lt, syms, syms[1:])):
+            raise ContractError("symbols must be strictly increasing")
+        return cls._canonical(pairs, counts.total())
+
+    @classmethod
+    def _canonical(cls, pairs, total) -> "Multiset":
+        """A multiset from pairs already canonical and their count total,
+        without ``__init__``'s checks."""
+        ms = object.__new__(cls)
+        ms.pairs = pairs
+        ms.total = total
+        return ms
 
     @property
     def unique(self) -> int:
@@ -198,7 +213,7 @@ class FreqTree:
             if node.cnt:  # drained nodes keep their place
                 pairs.append((node.sym, node.cnt))
             node = node.right
-        return Multiset(pairs)
+        return Multiset._canonical(tuple(pairs), self.total)
 
 
 def build_balanced(m: Multiset) -> FreqTree:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -34,6 +35,7 @@ from .symbols import ByteStringCodec
 from .varint import encode_uvarint
 
 _LN2 = math.log(2)
+_VARINT1 = tuple(bytes((n,)) for n in range(0x80))  # the one-byte varints
 
 
 class Record:
@@ -48,17 +50,16 @@ class Record:
 
     def __init__(self, pairs):
         ms = pairs if isinstance(pairs, Multiset) else Multiset.from_iterable(pairs)
-        for sym, _ in ms.pairs:
+        parts = []
+        for sym, cnt in ms.pairs:
             if not (isinstance(sym, tuple) and len(sym) == 2
                     and isinstance(sym[0], bytes) and isinstance(sym[1], bytes)):
                 raise ContractError(f"record pairs must be (bytes, bytes), got {sym!r}")
-        parts = []
-        for (k, v), cnt in ms.pairs:
-            parts.append(encode_uvarint(cnt))
-            parts.append(encode_uvarint(len(k)))
-            parts.append(k)
-            parts.append(encode_uvarint(len(v)))
-            parts.append(v)
+            k, v = sym
+            nk, nv = len(k), len(v)
+            parts += (_VARINT1[cnt] if cnt < 0x80 else encode_uvarint(cnt),
+                      _VARINT1[nk] if nk < 0x80 else encode_uvarint(nk), k,
+                      _VARINT1[nv] if nv < 0x80 else encode_uvarint(nv), v)
         self.pairs = ms
         self.key = b"".join(parts)
 
@@ -78,6 +79,13 @@ class Record:
         return f"Record({list(self.pairs.pairs)!r})"
 
 
+def _record_key(item) -> bytes:
+    rec = item[0]
+    if not isinstance(rec, Record):
+        raise ContractError(f"outer symbols must be Records, got {rec!r}")
+    return rec.key
+
+
 class NestedMultiset:
     """Outer multiset whose symbols are Records."""
 
@@ -91,7 +99,10 @@ class NestedMultiset:
 
     @classmethod
     def from_records(cls, records) -> "NestedMultiset":
-        return cls(Multiset.from_iterable(records))
+        counts = Counter(iter(records))
+        # Records order by their keys; sorting by key compares bytes directly.
+        pairs = tuple(sorted(counts.items(), key=_record_key))
+        return cls(Multiset._canonical(pairs, counts.total()))
 
     @property
     def outer_size(self) -> int:
@@ -183,16 +194,10 @@ def nested_savings_bound(nm: NestedMultiset) -> float:
     return bits / _LN2
 
 
-def _scalar_text(value) -> str:
-    if isinstance(value, str):
-        return value
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    return repr(value)  # an int or a float, the only other scalars json.loads yields
+# The text of each scalar type json.loads yields; a miss is an object or array.
+_SCALAR_TEXT = {str: str, int: repr, float: repr,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
 
 
 def ingest_json_records(text) -> list[Record]:
@@ -223,10 +228,11 @@ def ingest_json_records(text) -> list[Record]:
         pairs = []
         try:
             for k, v in item:
-                if isinstance(v, (tuple, list)):
+                to_text = _SCALAR_TEXT.get(type(v))
+                if to_text is None:
                     raise IngestError("nested objects/arrays are not supported",
                                       position=f"record {idx}, key {k!r}")
-                pairs.append((k.encode("utf-8"), _scalar_text(v).encode("utf-8")))
+                pairs.append((k.encode("utf-8"), to_text(v).encode("utf-8")))
         except UnicodeEncodeError as e:  # a lone surrogate escape such as "\ud800"
             raise IngestError(f"string is not valid UTF-8 ({e.reason})",
                               position=f"record {idx}, key {k!r}") from None

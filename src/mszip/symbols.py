@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+import sys
 from array import array
 from bisect import bisect_right
 from itertools import repeat
@@ -204,6 +205,10 @@ class UniformCodec:
 # The code triple of each byte under the uniform byte model.
 _BYTE_TRIPLES = tuple(CodeTriple(b, 1, 256) for b in range(256))
 _WORDS_BE = struct.Struct(">I")
+_BIG_ENDIAN = sys.byteorder == "big"
+# 2**(8*m) and its mask, for the m-byte ops (m < 4)
+_SPANS = (1, 1 << 8, 1 << 16, 1 << 24)
+_MASKS = (0, 0xFF, 0xFFFF, 0xFFFFFF)
 
 
 class ByteStringCodec:
@@ -244,11 +249,13 @@ class ByteStringCodec:
         # bytes() keeps a sequence of ints from indexing the table out of range
         payload = bytes(payload)
         k = len(payload)
-        m = min(k, (63 - state[0].bit_length()) >> 3)  # 0 from 56 bits on
+        m = (63 - state[0].bit_length()) >> 3  # 0 from 56 bits on
+        if m > k:
+            m = k
         if m:
             k -= m
             c = int.from_bytes(payload[k:k + m], "little")
-            state = encode_op(state, (c, 1, 1 << 8 * m))
+            state = encode_op(state, (c, 1, _SPANS[m]))
         r = k & 3
         # Big-endian words of the reversed bytes are the little-endian words
         # of the payload, last first. Each is a 3-byte op, which spills, and
@@ -258,33 +265,41 @@ class ByteStringCodec:
             state = encode_op(state, _BYTE_TRIPLES[w & 0xFF])
         if r:
             c = int.from_bytes(payload[:r], "little")
-            state = encode_op(state, (c, 1, 1 << 8 * r))
+            state = encode_op(state, (c, 1, _SPANS[r]))
         return encode_op(state, (len(payload), 1, self.max_len + 1))
 
     def decode(self, state):
         k = state[0] & self.max_len  # the peeked index under precision max_len + 1
         state = decode_advance(state, (k, 1, self.max_len + 1))
-        out = bytearray()
         head = state[0]
-        m = min(k, (head.bit_length() - 24) >> 3) if head < 1 << 55 else 0
-        if m:
-            k -= m
-            c = head & ((1 << 8 * m) - 1)
-            state = decode_advance(state, (c, 1, 1 << 8 * m))
-            out += c.to_bytes(m, "little")
-        r = k & 3
-        for _ in range(k >> 2):  # the 1-byte op refills, the 3-byte op cannot
-            c = state[0] & 0xFFFFFF
-            state = decode_advance(state, (c, 1, 1 << 24))
-            out += c.to_bytes(3, "little")
-            b = state[0] & 0xFF
-            state = decode_advance(state, _BYTE_TRIPLES[b])
-            out.append(b)
-        if r:
-            c = state[0] & ((1 << 8 * r) - 1)
-            state = decode_advance(state, (c, 1, 1 << 8 * r))
-            out += c.to_bytes(r, "little")
-        return state, bytes(out)
+        out = b""
+        if head < 1 << 55:
+            m = (head.bit_length() - 24) >> 3
+            if m > k:
+                m = k
+            if m:
+                k -= m
+                c = head & _MASKS[m]
+                state = decode_advance(state, (c, 1, _SPANS[m]))
+                out = c.to_bytes(m, "little")
+        if k >= 4:
+            # The 3-byte op cannot refill, so one read of the head's low word
+            # gives both ops of a group: its low 3 bytes, then its top byte.
+            words = array("I")
+            for _ in range(k >> 2):
+                w = state[0] & 0xFFFFFFFF
+                state = decode_advance(state, (w & 0xFFFFFF, 1, 1 << 24))
+                state = decode_advance(state, _BYTE_TRIPLES[w >> 24])
+                words.append(w)
+            if _BIG_ENDIAN:
+                words.byteswap()
+            out += words.tobytes()
+            k &= 3
+        if k:
+            c = state[0] & _MASKS[k]
+            state = decode_advance(state, (c, 1, _SPANS[k]))
+            out += c.to_bytes(k, "little")
+        return state, out
 
     def bits(self, payload) -> float:
         return 8 * len(payload) + math.log2(self.max_len + 1)

@@ -89,6 +89,22 @@ class TestStateBasics:
         raw = (0).to_bytes(4, "big") + (9).to_bytes(4, "big") + (L + 1).to_bytes(8, "big")
         assert deserialize(raw) == (L + 1, (9, ()))
 
+    def test_deep_state_roundtrip(self):
+        # 12,000 words with zero words at the bottom, inside and at the top;
+        # states this deep are compared by serialize (see the ans notes)
+        rng = random.Random(3)
+        words = [0, 0, 0, 0x100, *(rng.choice([0, rng.randrange(B)])
+                                   for _ in range(11_995)), 0]
+        stack = ()
+        for w in words:
+            stack = (w, stack)
+        s = (L + 5, stack)
+        data = serialize(s)
+        assert len(data) == 8 + 4 * len(words)
+        back = deserialize(data)
+        assert serialize(back) == data[12:]  # less the three bottom zero words
+        assert length_bits(back) == 64 + 32 * (len(words) - 3)
+
     @pytest.mark.parametrize("head", [0, L - 1, B * L, 2**64 - 1])
     def test_non_canonical_head_rejected(self, head):
         with pytest.raises(FormatError):

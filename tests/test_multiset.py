@@ -49,6 +49,19 @@ class TestMultisetType:
     def test_equality_ignores_build_order(self):
         assert Multiset.from_iterable("abcab") == Multiset.from_iterable("babca")
 
+    @given(st.lists(st.integers(-50, 50), max_size=80)
+           | st.lists(st.binary(max_size=2), max_size=80))
+    def test_from_iterable_equals_the_checked_constructor(self, syms):
+        m = Multiset.from_iterable(syms)
+        want = Multiset(sorted((x, syms.count(x)) for x in set(syms)))
+        assert (m.pairs, m.total) == (want.pairs, want.total)
+
+    def test_from_iterable_rejects_a_partial_order(self):
+        # sorted() accepts sets, which only partly order; the result would not
+        # be strictly increasing
+        with pytest.raises(ContractError, match="strictly increasing"):
+            Multiset.from_iterable([frozenset({1}), frozenset({2})])
+
 
 class TestBuildBalanced:
     def test_reference_tree_shape(self):
@@ -380,3 +393,17 @@ class TestPinnedWork:
 @given(multisets(max_unique=40))
 def test_to_multiset_roundtrip(m):
     assert build_balanced(m).to_multiset() == m
+
+
+@settings(max_examples=50)
+@given(multisets(max_unique=40), st.randoms(use_true_random=False))
+def test_to_multiset_equals_the_checked_constructor(m, rng):
+    # drain part of the tree, so some nodes hold a count of zero
+    t = build_balanced(m)
+    left = dict(m.pairs)
+    for _ in range(rng.randrange(m.total + 1)):
+        sym, _, _ = t.lookup_and_remove(rng.randrange(t.total))
+        left[sym] -= 1
+    got = t.to_multiset()
+    want = Multiset(sorted((sym, cnt) for sym, cnt in left.items() if cnt))
+    assert (got.pairs, got.total) == (want.pairs, want.total)

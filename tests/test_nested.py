@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from mszip import (ContractError, FormatError, IngestError, Multiset,
                    encode_multiset, encode_nested, ingest_json,
                    ingest_json_records, length_bits, nested_savings_bound,
                    permutation_bits, sequence_state, state_new)
+from mszip.varint import encode_uvarint
 
 PC = PairCodec(63)
 
@@ -43,9 +45,23 @@ class TestRecord:
         with pytest.raises(ContractError):
             Record([("a", "1")])
 
+    @pytest.mark.parametrize("n", [127, 128, 16383, 16384])
+    def test_key_is_the_varint_framed_pairs(self, n):
+        # count, key length and value length each at n, around the varint
+        # byte boundaries; the short fields next to them take one byte
+        pairs = [(b"k" * n, b"v")] * n + [(b"a", b"b" * n), (b"", b"")]
+        want = b""
+        for (k, v), cnt in sorted(Counter(pairs).items()):
+            for part in (cnt, len(k), k, len(v), v):
+                want += encode_uvarint(part) if isinstance(part, int) else part
+        assert Record(pairs).key == want
+        assert Record(Multiset.from_iterable(pairs)).key == want
+
     def test_outer_symbols_must_be_records(self):
         with pytest.raises(ContractError, match="outer symbols must be Records"):
             NestedMultiset(Multiset([(1, 1)]))
+        with pytest.raises(ContractError, match="outer symbols must be Records, got 1"):
+            NestedMultiset.from_records([rec(("a", "1")), 1])
 
     def test_pair_bits(self):
         # two 4-bit length codes at max_len 15 and 8 bits per payload byte
@@ -168,6 +184,17 @@ class TestIngestJson:
         with pytest.raises(IngestError) as e:
             ingest_json(b'[\xff]')
         assert "byte" in e.value.position
+
+    @pytest.mark.parametrize("doc, message", [
+        ('[{"a":{"b":1}}]', "record 0, key 'a'"),
+        ('[{"a":[1]}]', "record 0, key 'a'"),
+        ('[{"x":1,"k":[]}]', "record 0, key 'k'"),
+        ('[{"a":1},{"b":{}}]', "record 1, key 'b'"),
+    ])
+    def test_nested_values_are_ingest_errors(self, doc, message):
+        with pytest.raises(IngestError) as e:
+            ingest_json_records(doc)
+        assert str(e.value) == message + ": nested objects/arrays are not supported"
 
     @pytest.mark.parametrize("doc, position, fragment", [
         ('[{"a":"\\ud800"}]', "record 0, key 'a'", "UTF-8"),

@@ -306,15 +306,16 @@ class TestByteStringCodec:
     def test_every_head_length_matches_uniform_codec_chain(self):
         # Multi-byte ops are exact only at certain head bit lengths, so walk
         # every canonical length, at both ends of its range and inside it,
-        # under 0, 1 and 2 stack words, through every aligning op width.
-        codec = ByteStringCodec(1024)
+        # under 0, 1 and 2 stack words, through every aligning op width and
+        # every tail after the four-byte groups.
+        codec = ByteStringCodec(2047)
         rng = random.Random(7)
         heads = []
         for bits in range(32, 64):
             heads += [1 << (bits - 1), (1 << bits) - 1,
                       rng.randrange(1 << (bits - 1), 1 << bits)]
         stacks = [(), (rng.randrange(1, B), ()), (0, (rng.randrange(1, B), ()))]
-        payloads = [rng.randbytes(k) for k in [*range(10), 1024]]
+        payloads = [rng.randbytes(k) for k in [*range(10), 100, 1024, 2047]]
         for head in heads:
             for words in stacks:
                 s = (head, words)
@@ -326,6 +327,19 @@ class TestByteStringCodec:
                     t = UniformCodec(codec.max_len + 1).encode(s, len(p))
                     assert codec.decode(t) == byte_string_decode_chain(codec, t), \
                         (head, words, len(p))
+
+    def test_long_payload_matches_uniform_codec_chain(self):
+        # 2**16 + 3 bytes: 16,384 four-byte groups, then a 3-byte tail
+        codec = ByteStringCodec(2**17 - 1)
+        payload = random.Random(5).randbytes(2**16 + 3)
+        s = UniformCodec(1 << 31).encode(state_new(), 12345)
+        s = codec.encode(s, payload)
+        assert serialize(s) == serialize(byte_string_encode_chain(
+            codec, UniformCodec(1 << 31).encode(state_new(), 12345), payload))
+        got_s, got = codec.decode(s)
+        want_s, want = byte_string_decode_chain(codec, s)
+        assert got == want == payload
+        assert serialize(got_s) == serialize(want_s)
 
 
 def _recorder(fn, ops):
