@@ -176,13 +176,17 @@ def deserialize(data: bytes) -> tuple:
     head = int.from_bytes(data[-8:], "big")
     if not L <= head < B * L:
         raise FormatError(f"state head {head:#x} outside [2**31, 2**63)")
-    body = data[:-8]
-    bottom = (len(body) - len(body.lstrip(b"\0"))) & ~3  # zero words, in bytes
-    stack = array("I", body[bottom:])
+    stack = array("I")
+    stack.frombytes(data[:-8])
     if sys.byteorder == "little":
         stack.byteswap()
     words: tuple = ()
-    for w in stack:
+    rest = iter(stack)
+    for w in rest:  # skip the bottom zero words up to the first other one
+        if w:
+            words = (w, words)
+            break
+    for w in rest:
         words = (w, words)
     return head, words
 

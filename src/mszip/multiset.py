@@ -48,7 +48,9 @@ class Multiset:
     @classmethod
     def from_iterable(cls, symbols) -> "Multiset":
         """Canonicalize any order of possibly repeating symbols."""
-        counts = Counter(iter(symbols))  # iter(): a mapping gives its keys
+        # iter(): Counter would take a mapping's values as counts, so every
+        # count here is a positive int and none needs checking
+        counts = Counter(iter(symbols))
         pairs = tuple(sorted(counts.items()))
         # sorted() does not check that the order is total (sets are not)
         syms = [sym for sym, _ in pairs]

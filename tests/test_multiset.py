@@ -45,6 +45,8 @@ class TestMultisetType:
         assert m.total == 5
         assert m.unique == 3
         assert list(m.expand()) == ["a", "a", "b", "c", "c"]
+        # a mapping is an iterable of its keys; its values are not counts
+        assert Multiset.from_iterable({"b": 5, "a": 0}) == Multiset([("a", 1), ("b", 1)])
 
     def test_equality_ignores_build_order(self):
         assert Multiset.from_iterable("abcab") == Multiset.from_iterable("babca")
