@@ -329,7 +329,7 @@ class TestByteStringCodec:
                         (head, words, len(p))
 
     def test_long_payload_matches_uniform_codec_chain(self):
-        # 2**16 + 3 bytes: 16,384 four-byte groups, then a 3-byte tail
+        # 2**16 + 3 bytes: over 16,000 four-byte groups and a deep state
         codec = ByteStringCodec(2**17 - 1)
         payload = random.Random(5).randbytes(2**16 + 3)
         s = UniformCodec(1 << 31).encode(state_new(), 12345)
