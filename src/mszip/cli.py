@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import click
@@ -74,9 +76,9 @@ def compress(inputs, output, codec_name, precision, nested):
             raise click.UsageError("--nested requires the bytes codec")
         records = ingest_json_records(inputs[0].read_bytes())
         nm = NestedMultiset.from_records(records)
-        codec = PairCodec(max((len(f) for rec, _ in nm.records.pairs
-                               for (pair, _) in rec.pairs.pairs for f in pair),
-                              default=0))
+        pairs = chain.from_iterable(rec.pairs.pairs for rec, _ in nm.records.pairs)
+        fields = chain.from_iterable(map(itemgetter(0), pairs))  # keys and values
+        codec = PairCodec(max(map(len, fields), default=0))
         state, sizes = encode_nested(nm, codec)
         state_bytes = serialize(state)
         kind, size = KIND_NESTED, nm.outer_size

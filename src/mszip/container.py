@@ -25,7 +25,6 @@ a mismatched or truncated container fails loudly before any decode starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from struct import iter_unpack
 
 from .errors import ContractError, FormatError
 from .nested import PairCodec
@@ -42,43 +41,69 @@ KIND_FLAT = 0
 KIND_NESTED = 1
 
 
-def _make_crc_tables():
-    """Slicing-by-8 tables: ``tables[k][b]`` is the CRC register after byte
-    ``b`` and then ``k`` zero bytes, so ``tables[0]`` is the byte table."""
-    poly = 0x82F63B78  # Castagnoli, reflected
-    table = []
-    for k in range(256):
-        crc = k
-        for _ in range(8):
-            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        table.append(crc)
-    tables = [table]
-    for _ in range(7):
-        tables.append([(v >> 8) ^ table[v & 0xFF] for v in tables[-1]])
-    return tables
+_CRC_POLY = 0x11EDC6F41  # Castagnoli, x^32 + ... + 1, unreflected
+_CRC_CHUNK = 1 << 15  # bytes folded per big-int pass; caps the temporaries
+# each byte with its bits reversed: reflected input as a plain polynomial
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-_CRC_TABLES = _make_crc_tables()
+def _rev32(v: int) -> int:
+    return int.from_bytes(v.to_bytes(4, "little").translate(_REV8), "big")
+
+
+def _crc_fold_shifts():
+    """For each ``j``, the exponents of x^(2^j) mod P, by repeated squaring,
+    up to the widest chunk's fold."""
+    shifts = []
+    r = 2  # x
+    for _ in range((8 * _CRC_CHUNK).bit_length()):
+        shifts.append(tuple(b for b in range(32) if r >> b & 1))
+        sq = 0
+        for b in shifts[-1]:  # r·r, carry-less
+            sq ^= r << b
+        r = sq
+        while r.bit_length() > 32:
+            r ^= _CRC_POLY << (r.bit_length() - 33)
+    return tuple(shifts)
+
+
+_CRC_FOLD = _crc_fold_shifts()
+
+
+def _crc32c_chunk(data, crc: int) -> int:
+    """``crc32c`` of at most one chunk."""
+    a = (int.from_bytes(bytes(data).translate(_REV8), "big") << 32
+         ^ _rev32(crc ^ 0xFFFFFFFF) << 8 * len(data))
+    bits = a.bit_length()
+    while bits > 96:  # hi·x^k + lo becomes hi·(x^k mod P) + lo, k = 2^j
+        j = (bits - 33).bit_length() - 1
+        k = 1 << j
+        hi = a >> k
+        a &= (1 << k) - 1
+        for b in _CRC_FOLD[j]:
+            a ^= hi << b
+        bits = a.bit_length()
+    while bits > 32:
+        a ^= _CRC_POLY << (bits - 33)
+        bits = a.bit_length()
+    return _rev32(a) ^ 0xFFFFFFFF
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
     """CRC-32C (Castagnoli). Not zlib.crc32, which uses the IEEE polynomial.
 
-    Slicing-by-8 (Kounavis & Berry 2005): each step folds eight bytes, the
-    first four as a little-endian word into the register and the last four
-    by table alone, then the tail goes byte by byte.
+    The message is read as one polynomial over GF(2), its bytes bit-reversed
+    so the reflected CRC becomes a plain remainder: ``rev32((M·x^32 +
+    rev32(crc ^ 0xFFFFFFFF)·x^(8·len)) mod P) ^ 0xFFFFFFFF``. The remainder
+    is taken by folding (Gopal et al., Intel 2009): the part above x^k is
+    multiplied carry-less by x^k mod P, for the largest power of two k that
+    still shortens the value, until 96 bits are left, then bit by bit. The
+    big-int shifts and xors run in C; chunks of 32 KiB chain through ``crc``.
     """
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
-    crc ^= 0xFFFFFFFF
     data = memoryview(data)
-    n = len(data) & ~7
-    for w, b4, b5, b6, b7 in iter_unpack("<I4B", data[:n]):
-        w ^= crc
-        crc = (t7[w & 0xFF] ^ t6[(w >> 8) & 0xFF] ^ t5[(w >> 16) & 0xFF]
-               ^ t4[w >> 24] ^ t3[b4] ^ t2[b5] ^ t1[b6] ^ t0[b7])
-    for b in data[n:]:
-        crc = (crc >> 8) ^ t0[(crc ^ b) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    for i in range(0, len(data), _CRC_CHUNK):
+        crc = _crc32c_chunk(data[i : i + _CRC_CHUNK], crc)
+    return crc
 
 
 @dataclass(frozen=True)
@@ -161,7 +186,7 @@ def pack(c: Container) -> bytes:
     if c.kind == KIND_NESTED:
         for s in c.inner_sizes:
             body += encode_uvarint(s)
-    crc = crc32c(bytes(body) + c.state)
+    crc = crc32c(c.state, crc32c(body))
     return MAGIC + bytes(body) + crc.to_bytes(4, "big") + c.state
 
 
@@ -200,7 +225,7 @@ def unpack(data: bytes) -> Container:
         raise FormatError("truncated checksum")
     stored = int.from_bytes(data[pos : pos + 4], "big")
     state = data[pos + 4 :]
-    actual = crc32c(data[4:pos] + state)
+    actual = crc32c(state, crc32c(data[4:pos]))
     if stored != actual:
         raise FormatError(f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
     return Container(kind=kind, codec_id=codec_id, codec_blob=bytes(blob),

@@ -22,8 +22,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import lt
 
 # encode_op and decode_advance are unused here; perfbench patches them by name.
 from .ans import decode_advance, encode_op  # noqa: F401
@@ -49,7 +51,14 @@ class Record:
     __slots__ = ("pairs", "key")
 
     def __init__(self, pairs):
-        ms = pairs if isinstance(pairs, Multiset) else Multiset.from_iterable(pairs)
+        if isinstance(pairs, Multiset):
+            ms = pairs
+        else:
+            s = sorted(pairs)
+            if all(map(lt, s, s[1:])):  # no pair repeats: every count is 1
+                ms = Multiset._canonical(tuple(zip(s, repeat(1))), len(s))
+            else:  # a repeated pair, or an order that is not total
+                ms = Multiset.from_iterable(s)
         parts = []
         for sym, cnt in ms.pairs:
             if not (isinstance(sym, tuple) and len(sym) == 2
@@ -147,10 +156,14 @@ class PairCodec:
 @dataclass
 class _RecordCodec:
     """A record coded as the sampled multiset of its pairs. The pair counts go
-    to the header: encode appends them to ``sizes``, decode takes them in turn."""
+    to the header: encode appends them to ``sizes``, decode takes them in turn.
+
+    Decode returns the record's ``key``, so the outer tree compares bytes, not
+    ``Record``s; ``records`` maps each key back to its record."""
 
     pair_codec: PairCodec
     sizes: object
+    records: dict = field(default_factory=dict)
 
     def encode(self, s, rec):
         self.sizes.append(rec.pairs.total)
@@ -159,7 +172,9 @@ class _RecordCodec:
     def decode(self, s):
         tree = FreqTree()
         s = sample_decode(s, next(self.sizes), self.pair_codec, tree)
-        return s, Record(tree.to_multiset())
+        rec = Record(tree.to_multiset())
+        self.records[rec.key] = rec
+        return s, rec.key
 
 
 def encode_nested(nm: NestedMultiset, pair_codec) -> tuple[tuple, list[int]]:
@@ -176,7 +191,10 @@ def decode_nested(s: tuple, inner_sizes, pair_codec) -> NestedMultiset:
     """Inverse of ``encode_nested``, with ``inner_sizes`` in the order
     ``encode_nested`` returned them; records decode last first."""
     codec = _RecordCodec(pair_codec, reversed(inner_sizes))
-    return NestedMultiset(decode_multiset(s, len(inner_sizes), codec))
+    keys = decode_multiset(s, len(inner_sizes), codec)
+    # keys order as their records do
+    records = tuple((codec.records[key], cnt) for key, cnt in keys.pairs)
+    return NestedMultiset(Multiset._canonical(records, keys.total))
 
 
 def sequence_state(nm: NestedMultiset, pair_codec) -> tuple:

@@ -14,6 +14,8 @@ from mszip import (ByteStringCodec, Container, FormatError, Multiset, MszipError
 from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED
 from mszip.varint import decode_uvarint, encode_uvarint
 
+CHUNK = 1 << 15  # the bytes crc32c folds in one pass
+
 
 class TestCrc32c:
     def test_known_vectors(self):
@@ -30,17 +32,39 @@ class TestCrc32c:
 
     def test_matches_the_byte_loop(self):
         rng = random.Random(32)
-        for n in range(65):  # every tail length, around 0 to 8 whole words
+        # every length up to 70 bytes: the fold stops at 96 bits, 8 bytes of
+        # message, and the bit loop takes the rest
+        for n in range(71):
             data = rng.randbytes(n)
-            assert crc32c(data) == crc32c_reference(data), n
+            for crc in (0, 1, 0xFFFFFFFF, rng.getrandbits(32)):
+                assert crc32c(data, crc) == crc32c_reference(data, crc), (n, crc)
         data = rng.randbytes(4096)
         assert crc32c(data) == crc32c_reference(data)
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 1 << 20])
+    def test_matches_the_byte_loop_around_chunk_seams(self, n):
+        rng = random.Random(n)
+        data = rng.randbytes(n)
+        crcs = (0, 1, 0xFFFFFFFF, rng.getrandbits(32))
+        for crc in crcs[:2] if n == 1 << 20 else crcs:  # the byte loop is slow
+            want = crc32c_reference(data, crc)
+            for buf in (data, bytearray(data), memoryview(data)):
+                assert crc32c(buf, crc) == want, (type(buf).__name__, crc)
 
     def test_continuation_at_unaligned_splits(self):
         data = random.Random(33).randbytes(4096)
         whole = crc32c(data)
         for k in (1, 3, 7, 9, 13, 100, 4095):
             assert crc32c(data[k:], crc32c(data[:k])) == whole, k
+
+    def test_continuation_across_chunk_seams(self):
+        rng = random.Random(35)
+        data = rng.randbytes(3 * CHUNK + 5)
+        for crc in (0, rng.getrandbits(32)):
+            whole = crc32c(data, crc)
+            for k in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+                      len(data) - 1, len(data), *rng.sample(range(len(data)), 8)):
+                assert crc32c(data[k:], crc32c(data[:k], crc)) == whole, (crc, k)
 
     def test_buffer_types_agree(self):
         data = random.Random(34).randbytes(1001)

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mszip import (ContractError, FormatError, IngestError, Multiset,
                    NestedMultiset, PairCodec, Record, canonical_json, decode_nested,
@@ -44,6 +46,28 @@ class TestRecord:
     def test_pairs_must_be_byte_tuples(self):
         with pytest.raises(ContractError):
             Record([("a", "1")])
+
+    @pytest.mark.parametrize("pairs", [
+        [(b"a", 1)],
+        [(b"a", b"1", b"x")],
+        [b"a1"],
+        [[b"a", b"1"]],
+        [(b"a", 1), (b"a", 1)],  # repeated: the from_iterable path
+        [(b"a", b"1"), (b"b", "2"), (b"a", b"1")],
+    ])
+    def test_non_byte_pairs_raise_on_either_path(self, pairs):
+        with pytest.raises(ContractError):
+            Record(pairs)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from([b"", b"a", b"ab", b"b"]),
+                              st.binary(max_size=2)), max_size=12))
+    def test_one_sort_equals_from_iterable(self, pairs):
+        # small alphabets, so many draws repeat a pair
+        want = Multiset.from_iterable(pairs)
+        r = Record(pairs)
+        assert (r.pairs.pairs, r.pairs.total) == (want.pairs, want.total)
+        assert r.key == Record(want).key
 
     @pytest.mark.parametrize("n", [127, 128, 16383, 16384])
     def test_key_is_the_varint_framed_pairs(self, n):
@@ -96,6 +120,19 @@ class TestNestedRoundTrip:
         assert state == state_new()
         assert sizes == []
         assert decode_nested(state_new(), [], PC) == nm
+
+    def test_decode_compares_keys_not_records(self, monkeypatch):
+        r = rec(("k", "v"))
+        nm = NestedMultiset.from_records(
+            [r, r, rec(("a", "1"), ("b", "2")), rec(("a", "1")), rec(("z", ""))])
+        state, sizes = encode_nested(nm, PC)
+
+        def refuse(self, other):
+            raise AssertionError("records compared in Python")
+
+        monkeypatch.setattr(Record, "__lt__", refuse)
+        monkeypatch.setattr(Record, "__gt__", refuse)
+        assert decode_nested(state, sizes, PC) == nm
 
     def test_random_collections(self):
         rng = random.Random(888)
