@@ -8,16 +8,13 @@ consistent total order (ints, bytes, tuples of bytes, ...).
 node stores its own count and the number of occurrences in its left subtree
 (the cumulative-frequency idea of Fenwick 1994), and the tree keeps the total
 count. Reading the tree left to right lays the occurrences out on the index
-line [0, total), each symbol owning the contiguous interval [c, c + p). A walk
-decides each level from one count: the left count, then the node's own.
-``insert_and_lookup`` and ``lookup_and_remove`` add 1 and -1 to the left
-counts they pass on the way down, to the count they stop at and to the total,
-so lookup and mutation cost one root-to-node pass; the read-only
-``forward_lookup`` (symbol to (c, p)) and ``reverse_lookup`` (index to
-(symbol, c, p)) are the same two walks with a zero step.
-
-Trees count the nodes they touch (``visits``) so complexity claims can be
-checked empirically.
+line [0, total), each symbol owning the contiguous interval [c, c + p). The
+encoder's ``lookup_and_remove`` walks by index and the decoder's
+``insert_and_lookup`` by symbol, each deciding a level from one count (the
+left count, then the node's own) and taking 1 from, or adding 1 to, the left
+counts it passes, the count it stops at and the total: lookup and mutation
+cost one root-to-node pass. Trees count the nodes they touch (``visits``) so
+complexity claims can be checked empirically.
 """
 
 from __future__ import annotations
@@ -98,83 +95,6 @@ class _Node:
         self.right = None
 
 
-def _index_walk(step, doc):
-    """The walk to the node whose interval holds index ``i``, adding ``step``
-    to each left count it passes and to the count it stops at. One count per
-    level decides the way, and ``i`` shifts past each interval it passes."""
-
-    def walk(self, i):
-        i = _int(i)
-        if not 0 <= i < self.total:
-            raise ContractError(f"index {i} outside [0, {self.total})")
-        self.total += step
-        node = self.root
-        offset = 0
-        seen = 0
-        while True:
-            seen += 1
-            lt = node.lt
-            if i < lt:
-                node.lt = lt + step
-                node = node.left
-                continue
-            i -= lt
-            offset += lt
-            cnt = node.cnt
-            if i < cnt:
-                node.cnt = cnt + step
-                self.visits += seen
-                return node.sym, offset, cnt
-            i -= cnt
-            offset += cnt
-            node = node.right
-
-    walk.__doc__ = doc
-    return walk
-
-
-def _symbol_walk(step, doc):
-    """The walk to the node of ``sym``, adding ``step`` to each left count it
-    passes and to the count it stops at. A miss attaches a new leaf, or raises
-    if ``step`` is 0."""
-
-    def walk(self, sym):
-        self.total += step
-        parent = None
-        node = self.root
-        offset = 0
-        seen = 0
-        while node is not None:
-            seen += 1
-            key = node.sym
-            if sym < key:
-                node.lt += step
-                parent, node = node, node.left
-            elif sym > key:
-                offset += node.lt + node.cnt
-                parent, node = node, node.right
-            else:
-                cnt = node.cnt + step
-                node.cnt = cnt
-                self.visits += seen
-                return offset + node.lt, cnt
-        if not step:
-            self.visits += seen
-            raise ContractError(f"symbol {sym!r} is not in the tree")
-        leaf = _Node(sym, 1)
-        if parent is None:
-            self.root = leaf
-        elif sym < parent.sym:
-            parent.left = leaf
-        else:
-            parent.right = leaf
-        self.visits += seen + 1
-        return offset, 1
-
-    walk.__doc__ = doc
-    return walk
-
-
 class FreqTree:
     """Order-statistic BST over the remaining occurrences of a multiset.
 
@@ -188,19 +108,69 @@ class FreqTree:
         self.total = 0
         self.visits = 0  # nodes touched, cumulative across walks
 
-    forward_lookup = _symbol_walk(0, """Return (c, p): occurrences ordered
-        before ``sym``, and its count (0 once drained); ``ContractError`` if
-        ``sym`` has no node.""")
-    reverse_lookup = _index_walk(0, """Return (sym, c, p) for the unique
-        interval containing ``i``.""")
-    lookup_and_remove = _index_walk(-1, """Remove one occurrence of the
-        symbol whose interval holds ``i``; return (sym, c, p) as of before.
+    def lookup_and_remove(self, i):
+        """Remove one occurrence of the symbol whose interval holds ``i``;
+        return (sym, c, p) as of before.
 
         Nodes are never unlinked: a symbol whose count reaches zero keeps its
         node, which owns an empty interval that later walks pass over, so the
-        tree keeps its shape.""")
-    insert_and_lookup = _symbol_walk(1, """Add one occurrence of ``sym``;
-        return (c, p) after the insert.""")
+        tree keeps its shape."""
+        i = _int(i)
+        if not 0 <= i < self.total:
+            raise ContractError(f"index {i} outside [0, {self.total})")
+        self.total -= 1
+        node = self.root
+        offset = 0
+        seen = 0
+        while True:
+            seen += 1
+            lt = node.lt
+            if i < lt:
+                node.lt = lt - 1
+                node = node.left
+                continue
+            i -= lt
+            offset += lt
+            cnt = node.cnt
+            if i < cnt:
+                node.cnt = cnt - 1
+                self.visits += seen
+                return node.sym, offset, cnt
+            i -= cnt
+            offset += cnt
+            node = node.right
+
+    def insert_and_lookup(self, sym):
+        """Add one occurrence of ``sym``; return (c, p) after the insert. A
+        symbol with no node gets a new leaf."""
+        self.total += 1
+        parent = None
+        node = self.root
+        offset = 0
+        seen = 0
+        while node is not None:
+            seen += 1
+            key = node.sym
+            if sym < key:
+                node.lt += 1
+                parent, node = node, node.left
+            elif sym > key:
+                offset += node.lt + node.cnt
+                parent, node = node, node.right
+            else:
+                cnt = node.cnt + 1
+                node.cnt = cnt
+                self.visits += seen
+                return offset + node.lt, cnt
+        leaf = _Node(sym, 1)
+        if parent is None:
+            self.root = leaf
+        elif sym < parent.sym:
+            parent.left = leaf
+        else:
+            parent.right = leaf
+        self.visits += seen + 1
+        return offset, 1
 
     def to_multiset(self) -> Multiset:
         """In-order traversal back to canonical form."""

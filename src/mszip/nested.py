@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import lt
+from operator import itemgetter, lt
 
 # encode_op and decode_advance are unused here; perfbench patches them by name.
 from .ans import decode_advance, encode_op  # noqa: F401
@@ -38,6 +38,13 @@ from .varint import encode_uvarint
 
 _LN2 = math.log(2)
 _VARINT1 = tuple(bytes((n,)) for n in range(0x80))  # the one-byte varints
+
+
+def _check_pairs(pairs):
+    for pair in pairs:
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and isinstance(pair[0], bytes) and isinstance(pair[1], bytes)):
+            raise ContractError(f"record pairs must be (bytes, bytes), got {pair!r}")
 
 
 class Record:
@@ -53,18 +60,17 @@ class Record:
     def __init__(self, pairs):
         if isinstance(pairs, Multiset):
             ms = pairs
+            _check_pairs(map(itemgetter(0), ms.pairs))
         else:
-            s = sorted(pairs)
+            s = list(pairs)
+            _check_pairs(s)  # before sort() or Counter can raise TypeError
+            s.sort()
             if all(map(lt, s, s[1:])):  # no pair repeats: every count is 1
                 ms = Multiset._canonical(tuple(zip(s, repeat(1))), len(s))
-            else:  # a repeated pair, or an order that is not total
+            else:  # a pair repeats
                 ms = Multiset.from_iterable(s)
         parts = []
-        for sym, cnt in ms.pairs:
-            if not (isinstance(sym, tuple) and len(sym) == 2
-                    and isinstance(sym[0], bytes) and isinstance(sym[1], bytes)):
-                raise ContractError(f"record pairs must be (bytes, bytes), got {sym!r}")
-            k, v = sym
+        for (k, v), cnt in ms.pairs:
             nk, nv = len(k), len(v)
             parts += (_VARINT1[cnt] if cnt < 0x80 else encode_uvarint(cnt),
                       _VARINT1[nk] if nk < 0x80 else encode_uvarint(nk), k,
@@ -74,9 +80,6 @@ class Record:
 
     def __lt__(self, other):
         return self.key < other.key
-
-    def __gt__(self, other):
-        return self.key > other.key
 
     def __eq__(self, other):
         return isinstance(other, Record) and self.key == other.key

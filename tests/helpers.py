@@ -12,7 +12,8 @@ from mszip.ans import WORD_BITS, _checked
 
 
 def linear_forward(pairs, sym):
-    """Linear-scan oracle for forward_lookup over canonical (sym, count) pairs."""
+    """Linear-scan oracle for the symbol walk over canonical (sym, count)
+    pairs: (c, p), the occurrences ordered before ``sym`` and its count."""
     c = 0
     for s, cnt in pairs:
         if s == sym:
@@ -24,13 +25,44 @@ def linear_forward(pairs, sym):
 
 
 def linear_reverse(pairs, i):
-    """Linear-scan oracle for reverse_lookup."""
+    """Linear-scan oracle for the index walk: (sym, c, p) for the interval
+    [c, c + p) that holds ``i``."""
     c = 0
     for s, cnt in pairs:
         if i < c + cnt:
             return s, c, cnt
         c += cnt
     raise IndexError(i)
+
+
+def tree_fields(t):
+    """Every node's fields, keyed by node id, after checking that each node's
+    ``lt`` is the sum of ``cnt`` over its left subtree and that ``t.total`` is
+    the sum of every ``cnt``."""
+    fields = {}
+
+    def count(node):
+        if node is None:
+            return 0
+        assert node.lt == count(node.left), node.sym
+        fields[id(node)] = (node.sym, node.lt, node.cnt, id(node.left), id(node.right))
+        return node.lt + node.cnt + count(node.right)
+
+    assert t.total == count(t.root)
+    return fields
+
+
+def probe(t, i):
+    """Read a ``FreqTree`` at index ``i`` with the coder's two walks: remove
+    the occurrence at ``i``, then insert its symbol again. Checks that the pair
+    leaves every node's fields as they were, and returns the removal's
+    (sym, c, p) and the insert's (c, p), which ``linear_reverse`` and
+    ``linear_forward`` give on the tree's pairs."""
+    fields = tree_fields(t)
+    found = t.lookup_and_remove(i)
+    again = t.insert_and_lookup(found[0])
+    assert tree_fields(t) == fields
+    return found, again
 
 
 def random_triple(rng: random.Random, max_n=1 << 15) -> CodeTriple:

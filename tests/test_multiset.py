@@ -5,10 +5,11 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_forward, linear_reverse, subtree_total, tree_depth
+from helpers import (linear_forward, linear_reverse, probe, subtree_total, tree_depth,
+                     tree_fields)
 from mszip import ContractError, FreqTree, Multiset, build_balanced
 
 REFERENCE = Multiset([("a", 1), ("b", 2), ("c", 3), ("d", 1), ("e", 1)])
@@ -92,45 +93,43 @@ class TestBuildBalanced:
 
 
 class TestLookups:
+    """The coder's two walks read the tree by probes: a removal and the insert
+    that puts the occurrence back."""
+
     def test_forward_examples(self):
         t = build_balanced(REFERENCE)
-        assert t.forward_lookup("b") == (1, 2)
-        assert t.forward_lookup("a") == (0, 1)
-        assert t.forward_lookup("e") == (7, 1)
-
-    def test_forward_missing(self):
-        t = build_balanced(REFERENCE)
-        with pytest.raises(ContractError, match="symbol 'z' is not in the tree"):
-            t.forward_lookup("z")
-        with pytest.raises(ContractError, match="symbol 'a' is not in the tree"):
-            FreqTree().forward_lookup("a")
+        assert probe(t, 2)[1] == (1, 2)  # "b" owns [1, 3)
+        assert probe(t, 0)[1] == (0, 1)  # "a"
+        assert probe(t, 7)[1] == (7, 1)  # "e"
 
     def test_reverse_examples(self):
         t = build_balanced(REFERENCE)
-        assert t.reverse_lookup(4) == ("c", 3, 3)
-        assert t.reverse_lookup(0) == ("a", 0, 1)
-        assert t.reverse_lookup(7) == ("e", 7, 1)
+        assert probe(t, 4)[0] == ("c", 3, 3)
+        assert probe(t, 0)[0] == ("a", 0, 1)
+        assert probe(t, 7)[0] == ("e", 7, 1)
 
     def test_reverse_out_of_range(self):
         t = build_balanced(REFERENCE)
+        fields = tree_fields(t)
         for i in (-1, 8, 100):
-            with pytest.raises(ContractError):
-                t.reverse_lookup(i)
+            with pytest.raises(ContractError, match=f"index {i} outside"):
+                t.lookup_and_remove(i)
+        assert tree_fields(t) == fields
 
     @given(multisets())
     def test_lookups_match_linear_oracle(self, m):
         t = build_balanced(m)
-        for sym, _ in m.pairs:
-            assert t.forward_lookup(sym) == linear_forward(m.pairs, sym)
         for i in range(m.total):
-            assert t.reverse_lookup(i) == linear_reverse(m.pairs, i)
+            found, again = probe(t, i)
+            assert found == linear_reverse(m.pairs, i)
+            assert again == linear_forward(m.pairs, found[0])
 
     @given(multisets())
     def test_interval_partition(self, m):
         t = build_balanced(m)
         seen = []
         for i in range(m.total):
-            sym, c, p = t.reverse_lookup(i)
+            sym, c, p = probe(t, i)[0]
             assert c <= i < c + p
             seen.append(sym)
         # non-decreasing symbols, each occupying exactly its count
@@ -144,7 +143,7 @@ class TestRemove:
         t = build_balanced(REFERENCE)
         assert t.lookup_and_remove(4) == ("c", 3, 3)
         assert t.total == 7
-        assert t.forward_lookup("c") == (3, 2)
+        assert probe(t, 3) == (("c", 3, 2), (3, 2))
 
     def test_singleton_becomes_empty(self):
         t = build_balanced(Multiset([("x", 1)]))
@@ -155,7 +154,7 @@ class TestRemove:
     def test_removing_least_promotes_next(self):
         t = build_balanced(REFERENCE)
         assert t.lookup_and_remove(0) == ("a", 0, 1)
-        assert t.forward_lookup("b") == (0, 2)
+        assert probe(t, 0) == (("b", 0, 2), (0, 2))
         assert t.to_multiset() == Multiset(
             [("b", 2), ("c", 3), ("d", 1), ("e", 1)])
 
@@ -183,7 +182,7 @@ class TestRemove:
         nodes = _nodes(t)
         for _ in range(3):  # "c" occupies [3, 6)
             assert t.lookup_and_remove(3)[0] == "c"
-        assert t.forward_lookup("d") == (3, 1)
+        assert probe(t, 3) == (("d", 3, 1), (3, 1))
         drained = REFERENCE.pairs[:2] + REFERENCE.pairs[3:]
         assert t.to_multiset() == Multiset(drained)
         for k in range(3):
@@ -227,8 +226,8 @@ class TestInsert:
 
 
 class TestReadOnlyLookupsOnDrainedTrees:
-    """The read-only lookups on a tree whose nodes were drained and refilled
-    agree with the oracle and leave every subtree total as it was."""
+    """Probes on a tree whose nodes were drained and refilled agree with the
+    oracle and leave every node as it was."""
 
     @given(multisets(max_unique=24, max_count=4), st.lists(st.integers(0, 1000), max_size=12),
            st.randoms(use_true_random=False))
@@ -240,84 +239,37 @@ class TestReadOnlyLookupsOnDrainedTrees:
             t.insert_and_lookup(sym)
         current = t.to_multiset()
         counts = dict(current.pairs)
-        nodes = _nodes(t)
-        totals = {key: subtree_total(node) for key, node in nodes.items()}
-        for sym, _ in current.pairs:
-            assert t.forward_lookup(sym) == linear_forward(current.pairs, sym)
+        fields = tree_fields(t)
         for i in range(current.total):
-            assert t.reverse_lookup(i) == linear_reverse(current.pairs, i)
-        for node in nodes.values():  # drained nodes own an empty interval
-            if node.sym not in counts:
-                before = sum(cnt for sym, cnt in current.pairs if sym < node.sym)
-                assert t.forward_lookup(node.sym) == (before, 0)
-        assert {key: subtree_total(node) for key, node in _nodes(t).items()} == totals
-
-    @given(multisets(max_unique=24, max_count=4), st.integers(-5, 1005),
-           st.randoms(use_true_random=False))
-    def test_missing_symbol_counts_its_path_and_attaches_nothing(self, m, sym, rng):
-        t = build_balanced(m)
-        for _ in range(m.total // 2):
-            t.lookup_and_remove(rng.randrange(t.total))
-        nodes = _nodes(t)
-        assume(all(node.sym != sym for node in nodes.values()))
-        path, node = 0, t.root
-        while node is not None:
-            path += 1
-            node = node.left if sym < node.sym else node.right
-        visits = t.visits
-        with pytest.raises(ContractError, match="not in the tree"):
-            t.forward_lookup(sym)
-        assert t.visits - visits == path
-        assert _nodes(t).keys() == nodes.keys()
-
-
-def _fields(t):
-    """Every node's fields, keyed by node id, after checking that each node's
-    ``lt`` is the sum of ``cnt`` over its left subtree and that ``t.total`` is
-    the sum of every ``cnt``."""
-    fields = {}
-
-    def count(node):
-        if node is None:
-            return 0
-        assert node.lt == count(node.left), node.sym
-        fields[id(node)] = (node.sym, node.lt, node.cnt, id(node.left), id(node.right))
-        return node.lt + node.cnt + count(node.right)
-
-    assert t.total == count(t.root)
-    return fields
+            found, again = probe(t, i)
+            assert found == linear_reverse(current.pairs, i)
+            assert again == linear_forward(current.pairs, found[0])
+        for sym, *_ in fields.values():  # drained nodes own an empty interval
+            if sym not in counts:
+                before = sum(cnt for s, cnt in current.pairs if s < sym)
+                assert t.insert_and_lookup(sym) == (before, 1)
+                assert t.lookup_and_remove(before) == (sym, before, 1)
+        assert tree_fields(t) == fields
 
 
 class TestLeftCounts:
     """Each node keeps its left subtree's count and the tree its total,
-    across any mix of the four walks; the read-only walks change no field."""
+    across any mix of the two walks."""
 
     @given(st.booleans(), multisets(max_unique=24, max_count=4),
-           st.lists(st.sampled_from(["insert", "remove", "forward", "reverse"]),
-                    max_size=60),
+           st.lists(st.sampled_from(["insert", "remove"]), max_size=60),
            st.randoms(use_true_random=False))
     def test_every_walk_keeps_the_counts(self, balanced, m, walks, rng):
         t = build_balanced(m) if balanced else FreqTree()
-        fields = _fields(t)
+        fields = tree_fields(t)
         for walk in walks:
-            present = sorted(node[0] for node in fields.values())
-            sym = (rng.choice(present) if present and rng.random() < 0.5
-                   else rng.randrange(1001))
             if walk == "insert":
-                t.insert_and_lookup(sym)
-            elif walk == "remove" and t.total:
+                present = sorted(node[0] for node in fields.values())
+                t.insert_and_lookup(rng.choice(present) if present and rng.random() < 0.5
+                                    else rng.randrange(1001))
+            elif t.total:
                 t.lookup_and_remove(rng.randrange(t.total))
-            elif walk == "forward":
-                if sym in present:
-                    t.forward_lookup(sym)
-                else:
-                    with pytest.raises(ContractError, match="not in the tree"):
-                        t.forward_lookup(sym)
-            elif walk == "reverse" and t.total:
-                t.reverse_lookup(rng.randrange(t.total))
-            before, fields = fields, _fields(t)
-            if walk in ("forward", "reverse"):
-                assert fields == before
+            fields = tree_fields(t)
 
 
 class TestVisitInstrumentation:
@@ -346,10 +298,12 @@ class TestVisitInstrumentation:
     def test_counters_accumulate(self):
         t = build_balanced(REFERENCE)
         assert t.visits == 0
-        t.forward_lookup("a")  # b, a
-        assert t.visits == 2
-        t.reverse_lookup(3)  # b, d, c
-        assert t.visits == 5
+        probe(t, 0)  # b, a and again
+        assert t.visits == 4
+        probe(t, 3)  # b, d, c and again
+        assert t.visits == 10
+        t.insert_and_lookup("f")  # b, d, e and the new leaf
+        assert t.visits == 14
 
 
 def _pinned_workload():

@@ -42,6 +42,10 @@ class TestRecord:
     def test_ordering_is_total(self):
         rs = [rec(("b", "x")), rec(("a", "z")), rec(("a", "a"), ("q", "q"))]
         assert sorted(rs) == sorted(rs, key=lambda r: r.key)
+        # Record defines only __lt__; Python reflects > onto it
+        a, b = rs[1], rs[0]
+        assert a.key < b.key
+        assert b > a and not a > b and not a > a
 
     def test_pairs_must_be_byte_tuples(self):
         with pytest.raises(ContractError):
@@ -54,6 +58,9 @@ class TestRecord:
         [[b"a", b"1"]],
         [(b"a", 1), (b"a", 1)],  # repeated: the from_iterable path
         [(b"a", b"1"), (b"b", "2"), (b"a", b"1")],
+        [[b"a", b"1"]] * 2,  # unhashable, so Counter would raise TypeError
+        [(b"a", 1), (b"a", b"x")],  # sort would compare 1 with b"x"
+        Multiset([((b"a", 1), 2)]),  # taken as it is, but checked
     ])
     def test_non_byte_pairs_raise_on_either_path(self, pairs):
         with pytest.raises(ContractError):
@@ -130,8 +137,7 @@ class TestNestedRoundTrip:
         def refuse(self, other):
             raise AssertionError("records compared in Python")
 
-        monkeypatch.setattr(Record, "__lt__", refuse)
-        monkeypatch.setattr(Record, "__gt__", refuse)
+        monkeypatch.setattr(Record, "__lt__", refuse)  # > reflects onto it
         assert decode_nested(state, sizes, PC) == nm
 
     def test_random_collections(self):
