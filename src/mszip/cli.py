@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-from itertools import chain
-from operator import itemgetter
+import math
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -20,6 +20,7 @@ from .nested import NestedMultiset, PairCodec, canonical_json, decode_nested, \
 # sequence_state is unused here; perfbench patches it by name.
 from .nested import sequence_state  # noqa: F401
 from .symbols import ByteStringCodec, QuantizedCategorical
+from .varint import encode_uvarint
 
 
 class _Main(click.Group):
@@ -50,6 +51,43 @@ def _int_list(_ctx, _param, value):
     return values
 
 
+KEYS_PRECISION = 1 << 16
+
+
+def pair_counts(nm: NestedMultiset) -> tuple[Counter, Counter]:
+    """The pairs of ``nm`` counted by key and by value length."""
+    keys, value_lengths = Counter(), Counter()
+    for rec, cnt in nm.records.pairs:
+        for (k, v), c in rec.pairs.pairs:
+            keys[k] += cnt * c
+            value_lengths[len(v)] += cnt * c
+    return keys, value_lengths
+
+
+def ideal_bits(codec: PairCodec, keys: Counter, value_lengths: Counter) -> float:
+    """``8 * len(params blob)`` plus the sum of ``codec.bits`` over the pairs,
+    which ``keys`` counts by key and ``value_lengths`` by value length."""
+    # a value's bits depend on its length alone
+    return 8 * len(codec_blob(codec)[1]) + math.fsum(
+        [c * codec.keys.bits(k) for k, c in keys.items()]
+        + [c * codec.strings.bits(bytes(n)) for n, c in value_lengths.items()])
+
+
+def pair_codec(keys: Counter, value_lengths: Counter) -> PairCodec:
+    """The pair codec of a nested container: byte keys, or keys under a
+    categorical over the keys that occur, whichever has the smaller
+    ``ideal_bits``. A tie, or more than 2^16 distinct keys, keeps byte keys.
+    """
+    max_value = max(value_lengths, default=0)
+    candidates = [PairCodec(max(max(map(len, keys), default=0), max_value))]
+    if 0 < len(keys) <= KEYS_PRECISION:
+        alphabet = sorted(keys)
+        candidates.append(PairCodec(max_value, QuantizedCategorical.from_weights(
+            alphabet, [keys[k] for k in alphabet], KEYS_PRECISION)))
+    # min keeps the first of equals: byte keys
+    return min(candidates, key=lambda c: ideal_bits(c, keys, value_lengths))
+
+
 @main.command()
 @click.argument("inputs", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False, path_type=Path))
@@ -76,9 +114,7 @@ def compress(inputs, output, codec_name, precision, nested):
             raise click.UsageError("--nested requires the bytes codec")
         records = ingest_json_records(inputs[0].read_bytes())
         nm = NestedMultiset.from_records(records)
-        pairs = chain.from_iterable(rec.pairs.pairs for rec, _ in nm.records.pairs)
-        fields = chain.from_iterable(map(itemgetter(0), pairs))  # keys and values
-        codec = PairCodec(max(map(len, fields), default=0))
+        codec = pair_codec(*pair_counts(nm))
         state, sizes = encode_nested(nm, codec)
         state_bytes = serialize(state)
         kind, size = KIND_NESTED, nm.outer_size
@@ -152,18 +188,26 @@ def decompress(container, outdir):
 @click.argument("container", type=click.Path(exists=True, dir_okay=False,
                                              path_type=Path))
 def info(container):
-    """Print a container's header without decoding it."""
+    """Print a container's header, and its bytes by field, without decoding
+    the state. A nested container's values are byte strings; ``keys`` names
+    the key codec."""
     c = unpack(container.read_bytes())
-    kind = "nested" if c.kind == KIND_NESTED else "flat"
-    codec = {CODEC_BYTES: "bytes", CODEC_CATEGORICAL: "categorical"}.get(
-        c.codec_id, f"unknown({c.codec_id})")
-    click.echo(f"kind: {kind}")
-    click.echo(f"codec: {codec}")
-    click.echo(f"count: {c.size}")
+    params = len(encode_uvarint(len(c.codec_blob))) + len(c.codec_blob)
     if c.kind == KIND_NESTED:
-        click.echo(f"pairs: {sum(c.inner_sizes)}")
-    click.echo(f"state_bits: {len(c.state) * 8}")
-    click.echo("checksum: ok")
+        keys = codec_from_blob(c.kind, c.codec_id, c.codec_blob).keys
+        sizes = sum(len(encode_uvarint(n)) for n in c.inner_sizes)
+        lines = ["kind: nested", "codec: bytes",
+                 "keys: bytes" if isinstance(keys, ByteStringCodec)
+                 else f"keys: categorical ({len(keys.alphabet)})",
+                 f"count: {c.size}", f"pairs: {sum(c.inner_sizes)}",
+                 f"params_bytes: {params}", f"sizes_bytes: {sizes}"]
+    else:
+        codec = {CODEC_BYTES: "bytes", CODEC_CATEGORICAL: "categorical"}.get(
+            c.codec_id, f"unknown({c.codec_id})")
+        lines = ["kind: flat", f"codec: {codec}", f"count: {c.size}",
+                 f"params_bytes: {params}"]
+    lines += ["checksum_bytes: 4", f"state_bits: {len(c.state) * 8}", "checksum: ok"]
+    click.echo("\n".join(lines))
 
 
 @main.command("bench-synthetic")

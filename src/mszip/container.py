@@ -5,6 +5,7 @@ Layout (integers big-endian, varints LEB128):
     magic    4 bytes   b"MSZ1"
     version  1 byte    currently 1
     codec    1 byte    1 = byte strings, 2 = categorical over byte strings
+                       (nested: 1 = byte keys, 2 = keys under a categorical)
     params   varint length, then the codec parameter blob
     kind     1 byte    0 = flat multiset, 1 = nested (records of pairs)
     count    varint    number of symbols (flat) or records (nested)
@@ -17,6 +18,11 @@ Codec parameter blobs:
     byte strings: varint max_len (the effective, power-of-two-minus-one value)
     categorical:  varint precision, varint n, then n length-prefixed symbols
                   and n varint masses
+
+A nested container's codec codes each (key, value) pair. Codec 1 codes keys
+and values as byte strings, with the byte-strings blob. Codec 2 codes values
+as byte strings and keys under a categorical over the keys; its blob is the
+values' varint max_len followed by the categorical blob of the keys.
 
 The checksum exists because ANS decoding cannot detect corruption on its own;
 a mismatched or truncated container fails loudly before any decode starts.
@@ -116,23 +122,55 @@ class Container:
     state: bytes
 
 
+def _categorical_blob(codec: QuantizedCategorical) -> bytes:
+    parts = [encode_uvarint(codec.precision), encode_uvarint(len(codec.alphabet))]
+    for sym in codec.alphabet:
+        if not isinstance(sym, bytes):
+            raise FormatError("only byte-string categorical alphabets are storable")
+        parts.append(encode_uvarint(len(sym)))
+        parts.append(sym)
+    for p in codec.pmf:
+        parts.append(encode_uvarint(p))
+    return b"".join(parts)
+
+
 def codec_blob(codec) -> tuple[int, bytes]:
     """Serialize a codec's identity and parameters for the header."""
     if isinstance(codec, PairCodec):
+        if isinstance(codec.keys, QuantizedCategorical):
+            return CODEC_CATEGORICAL, (encode_uvarint(codec.strings.max_len)
+                                       + _categorical_blob(codec.keys))
+        if codec.keys is not codec.strings:
+            raise FormatError(f"cannot serialize key codec {type(codec.keys).__name__}")
         codec = codec.strings
     if isinstance(codec, ByteStringCodec):
         return CODEC_BYTES, encode_uvarint(codec.max_len)
     if isinstance(codec, QuantizedCategorical):
-        parts = [encode_uvarint(codec.precision), encode_uvarint(len(codec.alphabet))]
-        for sym in codec.alphabet:
-            if not isinstance(sym, bytes):
-                raise FormatError("only byte-string categorical alphabets are storable")
-            parts.append(encode_uvarint(len(sym)))
-            parts.append(sym)
-        for p in codec.pmf:
-            parts.append(encode_uvarint(p))
-        return CODEC_CATEGORICAL, b"".join(parts)
+        return CODEC_CATEGORICAL, _categorical_blob(codec)
     raise FormatError(f"cannot serialize codec {type(codec).__name__}")
+
+
+def _categorical_from_blob(blob: bytes, pos: int) -> QuantizedCategorical:
+    """The categorical whose parameters fill ``blob`` from ``pos`` to its end."""
+    precision, pos = decode_uvarint(blob, pos)
+    n, pos = decode_uvarint(blob, pos)
+    alphabet = []
+    for _ in range(n):
+        ln, pos = decode_uvarint(blob, pos)
+        if pos + ln > len(blob):
+            raise FormatError("truncated codec alphabet")
+        alphabet.append(blob[pos : pos + ln])
+        pos += ln
+    pmf = []
+    for _ in range(n):
+        mass, pos = decode_uvarint(blob, pos)
+        pmf.append(mass)
+    if pos != len(blob):
+        raise FormatError("trailing bytes in codec parameters")
+    codec = QuantizedCategorical(alphabet, pmf)
+    if codec.precision != precision:
+        raise FormatError("codec masses do not sum to the stated precision")
+    return codec
 
 
 def codec_from_blob(kind: int, codec_id: int, blob: bytes):
@@ -145,27 +183,10 @@ def codec_from_blob(kind: int, codec_id: int, blob: bytes):
                 raise FormatError("trailing bytes in codec parameters")
             return PairCodec(max_len) if kind == KIND_NESTED else ByteStringCodec(max_len)
         if codec_id == CODEC_CATEGORICAL:
-            if kind == KIND_NESTED:
-                raise FormatError("nested containers require the byte-string codec")
-            precision, pos = decode_uvarint(blob)
-            n, pos = decode_uvarint(blob, pos)
-            alphabet = []
-            for _ in range(n):
-                ln, pos = decode_uvarint(blob, pos)
-                if pos + ln > len(blob):
-                    raise FormatError("truncated codec alphabet")
-                alphabet.append(blob[pos : pos + ln])
-                pos += ln
-            pmf = []
-            for _ in range(n):
-                mass, pos = decode_uvarint(blob, pos)
-                pmf.append(mass)
-            if pos != len(blob):
-                raise FormatError("trailing bytes in codec parameters")
-            codec = QuantizedCategorical(alphabet, pmf)
-            if codec.precision != precision:
-                raise FormatError("codec masses do not sum to the stated precision")
-            return codec
+            if kind == KIND_NESTED:  # the values' max_len, then the keys
+                max_len, pos = decode_uvarint(blob)
+                return PairCodec(max_len, _categorical_from_blob(blob, pos))
+            return _categorical_from_blob(blob, 0)
     except ContractError as e:
         raise FormatError(str(e)) from None
     raise FormatError(f"unknown codec id {codec_id}")

@@ -69,6 +69,17 @@ class Record:
                 ms = Multiset._canonical(tuple(zip(s, repeat(1))), len(s))
             else:  # a pair repeats
                 ms = Multiset.from_iterable(s)
+        self._frame(ms)
+
+    @classmethod
+    def _trusted(cls, ms: Multiset) -> "Record":
+        """The record of a multiset of pairs known to be (bytes, bytes), such
+        as a pair codec decodes: no check."""
+        rec = cls.__new__(cls)
+        rec._frame(ms)
+        return rec
+
+    def _frame(self, ms: Multiset):
         parts = []
         for (k, v), cnt in ms.pairs:
             nk, nv = len(k), len(v)
@@ -135,25 +146,29 @@ class NestedMultiset:
 
 
 class PairCodec:
-    """Codec for (key, value) byte-string pairs: one byte-string code each."""
+    """Codec for (key, value) byte-string pairs: the value under a byte-string
+    code, then the key under ``keys``, by default the same byte-string code.
 
-    __slots__ = ("strings",)
+    A ``QuantizedCategorical`` over the keys that occur suits collections
+    that repeat a small vocabulary of keys."""
 
-    def __init__(self, max_len=255):
+    __slots__ = ("strings", "keys")
+
+    def __init__(self, max_len=255, keys=None):
         self.strings = ByteStringCodec(max_len)
+        self.keys = self.strings if keys is None else keys
 
     def encode(self, state, pair):
         k, v = pair
-        state = self.strings.encode(state, v)
-        return self.strings.encode(state, k)
+        return self.keys.encode(self.strings.encode(state, v), k)
 
     def decode(self, state):
-        state, k = self.strings.decode(state)
+        state, k = self.keys.decode(state)
         state, v = self.strings.decode(state)
         return state, (k, v)
 
     def bits(self, pair) -> float:
-        return self.strings.bits(pair[0]) + self.strings.bits(pair[1])
+        return self.keys.bits(pair[0]) + self.strings.bits(pair[1])
 
 
 @dataclass
@@ -175,7 +190,7 @@ class _RecordCodec:
     def decode(self, s):
         tree = FreqTree()
         s = sample_decode(s, next(self.sizes), self.pair_codec, tree)
-        rec = Record(tree.to_multiset())
+        rec = Record._trusted(tree.to_multiset())
         self.records[rec.key] = rec
         return s, rec.key
 

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,10 +14,12 @@ from click.testing import CliRunner
 
 import mszip
 from mszip import (ByteStringCodec, Container, Multiset, NestedMultiset,
-                   PairCodec, codec_blob, encode_multiset, ingest_json_records,
-                   nested_savings_bound, pack, serialize, unpack)
-from mszip.cli import main
-from mszip.container import KIND_FLAT
+                   PairCodec, QuantizedCategorical, codec_blob, encode_multiset,
+                   ingest_json, ingest_json_records, nested_savings_bound, pack,
+                   serialize, unpack)
+from mszip.cli import ideal_bits, main, pair_codec, pair_counts
+from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT
+from mszip.varint import encode_uvarint
 
 
 @pytest.fixture
@@ -192,6 +196,71 @@ class TestNestedFlow:
         assert not (tmp_path / "x.msz").exists()
 
 
+class TestKeyCodecChoice:
+    """Nested compress codes keys as bytes or under a categorical, whichever
+    ideal size, params blob included, is smaller."""
+
+    @pytest.mark.parametrize("doc, byte_bits, keyed_bits, chosen", [
+        (lambda: GOLDEN_NESTED[0], 270, 417.5, ByteStringCodec),
+        (lambda: GOLDEN_NESTED_HEX[0], 3032, 2680, QuantizedCategorical),
+    ], ids=["golden-nested", "golden-nested-hex"])
+    def test_smaller_ideal_size_wins(self, doc, byte_bits, keyed_bits, chosen):
+        keys, value_lengths = pair_counts(ingest_json(doc()))
+        codec = pair_codec(keys, value_lengths)
+        assert isinstance(codec.keys, chosen)
+        max_value = max(value_lengths)
+        alphabet = sorted(keys)
+        byte_keys = PairCodec(max(max_value, max(map(len, keys))))
+        keyed = PairCodec(max_value, QuantizedCategorical.from_weights(
+            alphabet, [keys[k] for k in alphabet]))
+        assert ideal_bits(byte_keys, keys, value_lengths) == byte_bits
+        assert ideal_bits(keyed, keys, value_lengths) == pytest.approx(keyed_bits,
+                                                                       abs=0.05)
+        # the sum runs per key and per value length; per pair it is the same
+        nm = ingest_json(doc())
+        for pc in (byte_keys, keyed):
+            per_pair = 8 * len(codec_blob(pc)[1]) + sum(
+                cnt * pc.bits(pair) for rec, cnt in nm.records.pairs
+                for pair in rec.pairs.expand())
+            assert ideal_bits(pc, keys, value_lengths) == pytest.approx(per_pair)
+
+    def test_a_tie_keeps_byte_keys(self, monkeypatch):
+        monkeypatch.setattr("mszip.cli.ideal_bits", lambda *_args: 0.0)
+        codec = pair_codec(*pair_counts(ingest_json(GOLDEN_NESTED_HEX[0])))
+        assert codec.keys is codec.strings
+
+    def test_more_keys_than_the_precision_keeps_byte_keys(self):
+        # every key occurs 1,000 times, so a categorical would pay, but 2^16
+        # masses of at least 1 cannot hold 2^16 + 1 keys
+        keys = Counter({k.to_bytes(3, "big"): 1000 for k in range((1 << 16) + 1)})
+        codec = pair_codec(keys, Counter({1: 1000 * len(keys)}))
+        assert codec.keys is codec.strings and codec.strings.max_len == 3
+
+    def test_no_pairs_keeps_byte_keys(self):
+        codec = pair_codec(Counter(), Counter())
+        assert codec.keys is codec.strings and codec.strings.max_len == 0
+
+    def test_shuffled_records_and_keys_give_identical_containers(self, runner,
+                                                                 tmp_path):
+        rng = random.Random(21)
+        doc = [{"user": f"u{rng.randrange(9)}", "id": str(i), "ok": i % 3 == 0}
+               for i in range(40)]
+        doc += doc[:5]
+        boxes = []
+        for k in range(4):
+            rng.shuffle(doc)
+            shuffled = [dict(rng.sample(list(d.items()), len(d))) for d in doc]
+            src = tmp_path / f"r{k}.json"
+            src.write_text(json.dumps(shuffled))
+            box = tmp_path / f"r{k}.msz"
+            res = runner.invoke(main, ["compress", str(src), "-o", str(box),
+                                       "--nested"])
+            assert res.exit_code == 0, res.output
+            boxes.append(box.read_bytes())
+        assert len(set(boxes)) == 1
+        assert unpack(boxes[0]).codec_id == CODEC_CATEGORICAL
+
+
 class TestInfo:
     def test_reports_header(self, runner, tmp_path):
         paths = make_inputs(tmp_path, [b"aa", b"bb"])
@@ -212,6 +281,37 @@ class TestInfo:
         assert "kind: nested" in res.output
         assert "count: 2" in res.output
         assert "pairs: 3" in res.output
+
+    @pytest.mark.parametrize("doc, codec_id, keys", [
+        (lambda: GOLDEN_NESTED[0], CODEC_BYTES, "bytes"),
+        (lambda: GOLDEN_NESTED_HEX[0], CODEC_CATEGORICAL, "categorical (2)"),
+    ], ids=["byte-keys", "keyed"])
+    def test_nested_key_codec_and_header_bytes(self, runner, tmp_path, monkeypatch,
+                                               doc, codec_id, keys):
+        src = tmp_path / "r.json"
+        src.write_bytes(doc())
+        box = tmp_path / "n.msz"
+        runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
+        data = box.read_bytes()
+        c = unpack(data)
+        assert c.codec_id == codec_id
+
+        def refuse(*_args):
+            raise AssertionError("info decoded the state")
+
+        for name in ("deserialize", "decode_nested", "decode_multiset"):
+            monkeypatch.setattr(f"mszip.cli.{name}", refuse)
+        res = runner.invoke(main, ["info", str(box)])
+        assert res.exit_code == 0, res.output
+        lines = dict(line.split(": ", 1) for line in res.output.splitlines())
+        assert lines["codec"] == "bytes"
+        assert lines["keys"] == keys
+        fields = [int(lines[f"{f}_bytes"]) for f in ("params", "sizes", "checksum")]
+        assert fields == [len(encode_uvarint(len(c.codec_blob))) + len(c.codec_blob),
+                          sum(len(encode_uvarint(n)) for n in c.inner_sizes), 4]
+        # magic, version, codec id and kind take 7 bytes, the count a varint
+        fixed = 7 + len(encode_uvarint(c.size))
+        assert fixed + sum(fields) + int(lines["state_bits"]) // 8 == len(data)
 
 
 class TestErrorBoundary:
@@ -315,11 +415,28 @@ GOLDEN_NESTED = (
 GOLDEN_NESTED_HEX = (
     json.dumps([{"sha": hashlib.sha256(str(i % 9).encode()).hexdigest()[:24],
                  "n": i % 4} for i in range(12)]).encode(),
-    "4cb687386a4b70189640228c1031ddb854261e05ca10506fc8f90c60c4734242")
+    "6ca74aee0aa17646bfb74057ac3f657c2aeaf12146aeb44c09641804c6c159ca")
+
+
+# GOLDEN_NESTED's container, as written before keys could be coded under a
+# categorical; it is still the one compress writes.
+NESTED_BYTE_KEYS_HEX = (
+    "4d535a310101010701050302000202b4c0d433555555552bab93a46d6de9b9234a6c6c37"
+    "56e8ec62584bc1cb5d8b59762d63c105b05b04c44c4b09")
+NESTED_BYTE_KEYS_JSON = ('[{},{"a":"1","b":"x"},{"a":"1","b":"x"},'
+                         '{"id":"7","ok":"true","v":"null"},{"k":"v","k":"v"}]')
 
 
 class TestGoldenBytes:
     """Pinned container digests: any change to the bits written fails here."""
+
+    def test_byte_key_container_still_decompresses(self, runner, tmp_path):
+        box = tmp_path / "old.msz"
+        box.write_bytes(bytes.fromhex(NESTED_BYTE_KEYS_HEX))
+        assert hashlib.sha256(box.read_bytes()).hexdigest() == GOLDEN_NESTED[1]
+        res = runner.invoke(main, ["decompress", str(box), "-o", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "out" / "records.json").read_text() == NESTED_BYTE_KEYS_JSON
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_FLAT))
     def test_flat(self, runner, tmp_path, name):

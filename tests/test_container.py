@@ -84,8 +84,8 @@ def flat_container(payloads=(b"one", b"two", b"two"), max_len=64):
     return m, codec, data
 
 
-def nested_container(nm, max_len=15):
-    pc = PairCodec(max_len)
+def nested_container(nm, max_len=15, keys=None):
+    pc = PairCodec(max_len, keys)
     state, sizes = encode_nested(nm, pc)
     cid, blob = codec_blob(pc)
     return pack(Container(kind=KIND_NESTED, codec_id=cid, codec_blob=blob,
@@ -95,6 +95,10 @@ def nested_container(nm, max_len=15):
 
 # Categorical codec parameters: precision 4, one symbol b"a" of mass 4.
 CATEGORICAL_BLOB = b"\x04\x01\x01a\x04"
+# Keyed nested codec parameters: values' max_len 15, then the keys' categorical.
+KEYED_BLOB = b"\x0f" + CATEGORICAL_BLOB
+# Keys of the nested containers below.
+KEYS = QuantizedCategorical([b"a", b"b", b"id", b"k"], [3, 1, 8, 4])
 
 
 class TestPackUnpack:
@@ -135,6 +139,22 @@ class TestPackUnpack:
         assert c.inner_sizes == (2, 5, 1)
         assert isinstance(codec_from_blob(c.kind, c.codec_id, c.codec_blob),
                           PairCodec)
+
+    def test_nested_keyed_roundtrip(self):
+        nm = NestedMultiset.from_records(
+            [Record([(b"k", b"v"), (b"id", b"7")]), Record([(b"k", b"w")])] * 2)
+        c = unpack(nested_container(nm, keys=KEYS))
+        assert c.codec_id == CODEC_CATEGORICAL
+        assert c.codec_blob == b"\x0f" + codec_blob(KEYS)[1]
+        pc = codec_from_blob(c.kind, c.codec_id, c.codec_blob)
+        assert pc.strings.max_len == 15
+        assert (pc.keys.alphabet, pc.keys.pmf) == (KEYS.alphabet, KEYS.pmf)
+        assert decode_nested(deserialize(c.state), c.inner_sizes, pc) == nm
+
+    def test_byte_keys_keep_codec_1(self):
+        assert codec_blob(PairCodec(15)) == (CODEC_BYTES, b"\x0f")
+        pc = codec_from_blob(KIND_NESTED, CODEC_CATEGORICAL, KEYED_BLOB)
+        assert (pc.strings.max_len, pc.keys.alphabet) == (15, [b"a"])
 
     def test_inner_sizes_must_match_count(self):
         cid, blob = codec_blob(PairCodec(15))
@@ -181,8 +201,15 @@ class TestCorruption:
         (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL,
                                  CATEGORICAL_BLOB + b"\x00"),
          "trailing bytes"),
-        (lambda: codec_from_blob(KIND_NESTED, CODEC_CATEGORICAL, CATEGORICAL_BLOB),
-         "nested containers require the byte-string codec"),
+        (lambda: codec_blob(PairCodec(15, UniformCodec(4))),
+         "cannot serialize key codec UniformCodec"),
+        (lambda: codec_from_blob(KIND_NESTED, CODEC_CATEGORICAL, b"\x80"),
+         "truncated varint"),
+        (lambda: codec_from_blob(KIND_NESTED, CODEC_CATEGORICAL, KEYED_BLOB + b"\x00"),
+         "trailing bytes"),
+        (lambda: codec_from_blob(KIND_NESTED, CODEC_CATEGORICAL,
+                                 b"\x0f\x08\x01\x01a\x04"),
+         "do not sum to the stated precision"),
         (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL, b"\x04\x01\x05ab"),
          "truncated codec alphabet"),
         (lambda: codec_from_blob(KIND_FLAT, CODEC_CATEGORICAL, b"\x08\x01\x01a\x04"),
@@ -214,7 +241,8 @@ class TestCorruption:
         (lambda: decode_uvarint(b"\x80"), "truncated varint"),
         (lambda: decode_uvarint(b"\xff" * 10), "varint too long"),
     ], ids=["alphabet-not-bytes", "unknown-codec-class", "bytes-trailing",
-            "categorical-trailing", "nested-categorical", "truncated-alphabet",
+            "categorical-trailing", "unknown-key-codec", "keyed-truncated-max-len",
+            "keyed-trailing", "keyed-masses-off-precision", "truncated-alphabet",
             "masses-off-precision", "no-symbols", "zero-mass", "masses-sum-3",
             "duplicate-symbol", "precision-2^40", "max-len-2^32-1",
             "pack-unknown-kind", "truncated-header", "truncated-params",
@@ -228,7 +256,10 @@ class TestCorruption:
         flat_container()[2],
         nested_container(NestedMultiset.from_records(
             [Record([(b"k", b"v"), (b"id", b"7")]), Record([(b"k", b"w")])])),
-    ], ids=["flat", "nested"])
+        nested_container(NestedMultiset.from_records(
+            [Record([(b"k", b"v"), (b"id", b"7")]), Record([(b"k", b"w")])]),
+            keys=KEYS),
+    ], ids=["flat", "nested", "nested-keyed"])
     def test_every_proper_prefix_is_a_format_error(self, data):
         unpack(data)
         for cut in range(len(data)):
@@ -267,14 +298,21 @@ class TestStrictDecode:
             data, lambda s, c, codec: decode_multiset(s, c.size, codec),
             lambda m: flat_container(m.expand(), max_len=7)[2])
 
-    def test_nested(self):
+    def nested(self, keys):
         rng = random.Random(20261018)
         records = [Record([(rng.choice([b"a", b"b", b"id"]), rng.randbytes(2))
                            for _ in range(rng.randrange(4))]) for _ in range(6)]
-        data = nested_container(NestedMultiset.from_records(records + records[:2]))
+        data = nested_container(NestedMultiset.from_records(records + records[:2]),
+                                keys=keys)
         self.flip_every_bit(
             data, lambda s, c, codec: decode_nested(s, c.inner_sizes, codec),
-            nested_container)
+            lambda nm: nested_container(nm, keys=keys))
+
+    def test_nested(self):
+        self.nested(None)
+
+    def test_nested_keyed(self):
+        self.nested(KEYS)
 
 
 def _uvarint_loop(n):

@@ -9,14 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mszip.nested
 from mszip import (ContractError, FormatError, IngestError, Multiset,
-                   NestedMultiset, PairCodec, Record, canonical_json, decode_nested,
-                   encode_multiset, encode_nested, ingest_json,
-                   ingest_json_records, length_bits, nested_savings_bound,
-                   permutation_bits, sequence_state, state_new)
+                   NestedMultiset, PairCodec, QuantizedCategorical, Record,
+                   canonical_json, decode_nested, encode_multiset, encode_nested,
+                   info_content, ingest_json, ingest_json_records, length_bits,
+                   nested_savings_bound, permutation_bits, sequence_state,
+                   state_new)
+from mszip.cli import pair_counts
 from mszip.varint import encode_uvarint
 
 PC = PairCodec(63)
+
+
+def keyed(nm, max_len=63):
+    """A pair codec with keys under a categorical over the keys of ``nm``."""
+    keys, _ = pair_counts(nm)
+    alphabet = sorted(keys)
+    return PairCodec(max_len, QuantizedCategorical.from_weights(
+        alphabet, [keys[k] for k in alphabet]))
 
 
 def rec(*pairs):
@@ -97,6 +108,115 @@ class TestRecord:
     def test_pair_bits(self):
         # two 4-bit length codes at max_len 15 and 8 bits per payload byte
         assert PairCodec(15).bits((b"k", b"vv")) == 32
+        # a key of mass 1/4 costs 2 bits; the value 16 + 4
+        keys = QuantizedCategorical([b"a", b"k"], [3, 1])
+        assert PairCodec(15, keys).bits((b"k", b"vv")) == 22
+
+
+class TestPairCodec:
+    def test_byte_keys_are_the_default(self):
+        pc = PairCodec(15)
+        assert pc.keys is pc.strings
+        state = PairCodec(15, pc.strings).encode(state_new(), (b"k", b"v"))
+        assert pc.encode(state_new(), (b"k", b"v")) == state
+
+    def test_value_then_key(self):
+        keys = QuantizedCategorical([b"a", b"k"], [3, 1])
+        pc = PairCodec(15, keys)
+        state = pc.encode(state_new(), (b"k", b"vv"))
+        assert state == keys.encode(pc.strings.encode(state_new(), b"vv"), b"k")
+        assert pc.decode(state) == (state_new(), (b"k", b"vv"))
+
+    def test_key_outside_the_alphabet_raises(self):
+        pc = PairCodec(15, QuantizedCategorical([b"a"], [1]))
+        with pytest.raises(ContractError, match="not in the alphabet"):
+            pc.encode(state_new(), (b"b", b"v"))
+
+    def test_bits_agree_with_info_content(self):
+        rng = random.Random(2026)
+        pairs = [(rng.choice([b"", b"id", b"name", b"tag"]),
+                  rng.randbytes(rng.randrange(9))) for _ in range(600)]
+        m = Multiset.from_iterable(pairs + pairs[:50])
+        pc = keyed(NestedMultiset.from_records([Record(m)]), max_len=15)
+        want = math.fsum(cnt * (math.log2(pc.keys.precision / pc.keys.pmf[
+            pc.keys.alphabet.index(k)]) + 8 * len(v) + 4) for (k, v), cnt in m.pairs)
+        assert info_content(m, pc) == pytest.approx(want - permutation_bits(m))
+        # the coder spends the information content, plus the head and rounding
+        overhead = length_bits(encode_multiset(m, pc)) - info_content(m, pc)
+        assert 0 <= overhead <= 64 + 32
+
+
+def keyed_roundtrip(records, pc=None):
+    nm = NestedMultiset.from_records(records)
+    pc = keyed(nm) if pc is None else pc
+    state, sizes = encode_nested(nm, pc)
+    assert decode_nested(state, sizes, pc) == nm
+    return state
+
+
+class TestKeyedRoundTrip:
+    def test_empty_key(self):
+        keyed_roundtrip([rec(("", "1"), ("", ""), ("a", "")), rec(("", "x"))])
+
+    def test_one_empty_record(self):
+        # no keys occur, so the keys come from elsewhere
+        pc = PairCodec(15, QuantizedCategorical([b"a"], [1]))
+        assert keyed_roundtrip([Record([])], pc) == state_new()
+
+    def test_duplicate_pairs(self):
+        r = rec(("k", "v"), ("k", "v"), ("k", "w"))
+        keyed_roundtrip([r, r, rec(("k", "v"))])
+
+    def test_one_key_vocabulary(self):
+        # the key has all the mass: it costs nothing
+        records = [rec(("id", str(i % 7))) for i in range(20)]
+        pc = keyed(NestedMultiset.from_records(records), max_len=7)
+        assert pc.keys.pmf == [1 << 16] and pc.bits((b"id", b"1")) == 8 + 3
+        keyed_roundtrip(records, pc)
+
+    def test_random_collections(self):
+        rng = random.Random(889)
+        for _ in range(25):
+            vocab = [f"k{j}".encode() for j in range(rng.randint(1, 8))]
+            records = [Record([(rng.choice(vocab), f"v{rng.randrange(40)}".encode())
+                               for _ in range(rng.randint(0, 6))])
+                       for _ in range(rng.randint(1, 30))]
+            keyed_roundtrip(records)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from([b"", b"a", b"id", b"\xff"]),
+                                       st.binary(max_size=5)), max_size=5),
+                    max_size=8))
+    def test_hypothesis(self, records):
+        # a fixed vocabulary, so keys that never occur keep their mass
+        pc = PairCodec(7, QuantizedCategorical([b"", b"a", b"id", b"\xff"],
+                                               [1, 2, 3, 10]))
+        keyed_roundtrip([Record(pairs) for pairs in records], pc)
+
+
+class TestTrustedRecords:
+    def test_decode_checks_no_pairs(self, monkeypatch):
+        calls = []
+        check = mszip.nested._check_pairs
+
+        def counted(pairs):
+            calls.append(1)
+            return check(pairs)
+
+        r = rec(("k", "v"), ("id", "1"))
+        nm = NestedMultiset.from_records([r, r, rec(("a", "1")), Record([])])
+        monkeypatch.setattr(mszip.nested, "_check_pairs", counted)
+        for pc in (PC, keyed(nm)):
+            state, sizes = encode_nested(nm, pc)
+            assert decode_nested(state, sizes, pc) == nm
+        assert calls == []
+        Record(r.pairs)  # the public constructor still checks
+        assert calls == [1]
+
+    def test_trusted_record_equals_checked(self):
+        r = rec(("k", "v"), ("k", "v"), ("a", ""))
+        t = Record._trusted(r.pairs)
+        assert (t.key, t.pairs) == (r.key, r.pairs)
 
 
 class TestNestedRoundTrip:
