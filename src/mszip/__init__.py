@@ -14,7 +14,7 @@ from .errors import ContractError, FormatError, IngestError, MszipError
 from .mscodec import (RateReport, decode_multiset, encode_multiset,
                       encode_sequence, info_content, permutation_bits,
                       rate_report, sample_decode, sample_encode)
-from .multiset import FreqTree, Multiset, build_balanced
+from .multiset import FreqList, FreqTree, Multiset, build_balanced
 from .nested import (NestedMultiset, PairCodec, Record, canonical_json,
                      decode_nested, encode_nested, ingest_json,
                      ingest_json_records, nested_savings_bound, sequence_state)

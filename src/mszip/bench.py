@@ -38,7 +38,7 @@ from .ans import length_bits, state_new
 from .errors import ContractError
 from .mscodec import encode_sequence, info_content, sample_decode, sample_encode
 from .multiset import FreqTree, Multiset, build_balanced
-from .nested import NestedMultiset, PairCodec, decode_nested, encode_nested, \
+from .nested import NestedMultiset, decode_nested, encode_nested, \
     ingest_json_records, nested_savings_bound, sequence_state
 from .symbols import QuantizedCategorical
 
@@ -172,7 +172,10 @@ def default_prefixes(n: int) -> list[int]:
 
 
 def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
-    """Measure nested compression on growing prefixes of a JSON collection."""
+    """Measure nested compression on growing prefixes of a JSON collection,
+    each coded with the pair codec that ``compress --nested`` would write
+    for it."""
+    from .cli import pair_codec, pair_counts  # here, so that click loads late
     if repetitions < 1:
         raise ContractError(f"repetitions must be >= 1, got {repetitions}")
     records = ingest_json_records(text)
@@ -185,12 +188,10 @@ def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
     for k in prefixes:
         if not 1 <= k <= len(records):
             raise ContractError(f"prefix {k} outside [1, {len(records)}]")
-    max_len = max((len(f) for r in records for p in r.pairs.expand() for f in p),
-                  default=0)
-    pc = PairCodec(max_len)
     rows = []
     for k in prefixes:
         nm = NestedMultiset.from_records(records[:k])
+        pc = pair_codec(*pair_counts(nm))
         bound = nested_savings_bound(nm)
         sequence = length_bits(sequence_state(nm, pc))
         for rep in range(repetitions):

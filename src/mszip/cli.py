@@ -239,7 +239,8 @@ def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
 @click.option("--csv", "csv_path", type=click.Path(path_type=Path), default=None,
               help="Write CSV here instead of stdout.")
 def bench_json(json_file, reps, prefixes, csv_path):
-    """Nested-compression savings on growing prefixes of a JSON collection."""
+    """Nested-compression savings on growing prefixes of a JSON collection,
+    each coded with the pair codec that `compress --nested` would pick."""
     from . import bench
     rows = bench.json_rows(json_file.read_bytes(), repetitions=reps,
                            prefixes=prefixes)

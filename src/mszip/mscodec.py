@@ -15,6 +15,9 @@ have come from. A clean decode finishes back at the minimal state.
 The compressed output depends only on the canonical multiset: any input
 ordering of the same symbols produces identical bits.
 
+The loops read a table's ``total`` and call its two walks, nothing else, so a
+``FreqList`` samples exactly as a ``FreqTree`` with the same occurrences.
+
 Both loops do the ANS arithmetic of their sampling step inline: a sampling
 step of ``sample_encode`` is ``decode_advance`` and one of ``sample_decode``
 is ``encode_op``, on the triple ``(c, p, n)`` that the tree walk returns with
@@ -105,11 +108,13 @@ def encode_multiset(m: Multiset, codec) -> tuple:
     return sample_encode(state_new(), build_balanced(m), codec)
 
 
-def decode_multiset(s: tuple, size, codec) -> Multiset:
+def decode_multiset(s: tuple, size, codec, tree=None) -> Multiset:
     """Rebuild the multiset of ``size`` symbols from a state made by
-    ``encode_multiset`` with the same codec; a clean decode ends at the
-    minimal state, and any residue raises ``FormatError``."""
-    tree = FreqTree()
+    ``encode_multiset`` with the same codec, into ``tree``, an empty
+    ``FreqTree`` or ``FreqList`` (a new ``FreqTree`` by default); a clean
+    decode ends at the minimal state, and any residue raises ``FormatError``."""
+    if tree is None:
+        tree = FreqTree()
     if sample_decode(s, size, codec, tree) != state_new():
         raise FormatError("decode finished with a non-minimal residual state; "
                           "the state does not match the count or the codec")

@@ -12,6 +12,14 @@ they were depleted); the container header carries it. ``decode_nested`` takes
 those sizes in the order ``encode_nested`` returned them, which is the order
 the header stores, and reads them from the end itself.
 
+Both levels sample from a ``FreqList``, whose walks run in C, when the level
+holds at most ``LIST_CUTOFF`` occurrences, and from a balanced ``FreqTree``
+above it, where the list's O(total) moves per step would cost more than the
+tree's walk; a hostile header that claims a huge record gets a tree. The two
+tables return the same triples, so the cutoff does not change the output. The
+outer level samples record keys, which compare as bytes, and maps each key
+back to its record.
+
 ``ingest_json`` maps the supported JSON subset, an array of flat objects with
 scalar values, onto this structure by casting every key and value to its
 UTF-8 string form.
@@ -29,15 +37,29 @@ from operator import itemgetter, lt
 
 # encode_op and decode_advance are unused here; perfbench patches them by name.
 from .ans import decode_advance, encode_op  # noqa: F401
+from .ans import state_new
 from .errors import ContractError, FormatError, IngestError
-from .mscodec import decode_multiset, encode_multiset, encode_sequence, \
-    sample_decode, sample_encode
-from .multiset import FreqTree, Multiset, build_balanced
+from .mscodec import decode_multiset, encode_sequence, sample_decode, sample_encode
+from .multiset import FreqList, FreqTree, Multiset, build_balanced
 from .symbols import ByteStringCodec
 from .varint import encode_uvarint
 
 _LN2 = math.log(2)
 _VARINT1 = tuple(bytes((n,)) for n in range(0x80))  # the one-byte varints
+
+# The most occurrences a level samples from a FreqList; above it, a FreqTree.
+LIST_CUTOFF = 1 << 13
+
+
+def _filled_table(m: Multiset):
+    """The table to drain ``m`` from."""
+    return FreqList(m) if m.total <= LIST_CUTOFF else build_balanced(m)
+
+
+def _empty_table(size):
+    """The table to decode ``size`` occurrences into; a size that is not an
+    int gets a tree, and the sampling loop's check."""
+    return FreqList() if type(size) is int and size <= LIST_CUTOFF else FreqTree()
 
 
 def _check_pairs(pairs):
@@ -173,24 +195,27 @@ class PairCodec:
 
 @dataclass
 class _RecordCodec:
-    """A record coded as the sampled multiset of its pairs. The pair counts go
-    to the header: encode appends them to ``sizes``, decode takes them in turn.
+    """A record, named by its ``key``, coded as the sampled multiset of its
+    pairs. The pair counts go to the header: encode appends them to
+    ``sizes``, decode takes them in turn.
 
-    Decode returns the record's ``key``, so the outer tree compares bytes, not
-    ``Record``s; ``records`` maps each key back to its record."""
+    The outer table holds keys, so it compares bytes, not ``Record``s;
+    ``records`` maps each key to its record."""
 
     pair_codec: PairCodec
     sizes: object
     records: dict = field(default_factory=dict)
 
-    def encode(self, s, rec):
-        self.sizes.append(rec.pairs.total)
-        return sample_encode(s, build_balanced(rec.pairs), self.pair_codec)
+    def encode(self, s, key):
+        pairs = self.records[key].pairs
+        self.sizes.append(pairs.total)
+        return sample_encode(s, _filled_table(pairs), self.pair_codec)
 
     def decode(self, s):
-        tree = FreqTree()
-        s = sample_decode(s, next(self.sizes), self.pair_codec, tree)
-        rec = Record._trusted(tree.to_multiset())
+        size = next(self.sizes)
+        table = _empty_table(size)
+        s = sample_decode(s, size, self.pair_codec, table)
+        rec = Record._trusted(table.to_multiset())
         self.records[rec.key] = rec
         return s, rec.key
 
@@ -202,14 +227,20 @@ def encode_nested(nm: NestedMultiset, pair_codec) -> tuple[tuple, list[int]]:
     depleted; ``decode_nested`` takes them as they are.
     """
     sizes = []
-    return encode_multiset(nm.records, _RecordCodec(pair_codec, sizes)), sizes
+    records = nm.records
+    codec = _RecordCodec(pair_codec, sizes, {rec.key: rec for rec, _ in records.pairs})
+    # keys order as their records do
+    keys = Multiset._canonical(tuple((rec.key, cnt) for rec, cnt in records.pairs),
+                               records.total)
+    return sample_encode(state_new(), _filled_table(keys), codec), sizes
 
 
 def decode_nested(s: tuple, inner_sizes, pair_codec) -> NestedMultiset:
     """Inverse of ``encode_nested``, with ``inner_sizes`` in the order
     ``encode_nested`` returned them; records decode last first."""
     codec = _RecordCodec(pair_codec, reversed(inner_sizes))
-    keys = decode_multiset(s, len(inner_sizes), codec)
+    count = len(inner_sizes)
+    keys = decode_multiset(s, count, codec, _empty_table(count))
     # keys order as their records do
     records = tuple((codec.records[key], cnt) for key, cnt in keys.pairs)
     return NestedMultiset(Multiset._canonical(records, keys.total))
@@ -286,13 +317,17 @@ def canonical_json(nm: NestedMultiset) -> str:
 
     Keys and values are quoted by ``encode_basestring_ascii``, which is what
     ``json.dumps`` returns for a string, without its per-call dispatch."""
+    keys = {}  # each distinct key quoted once, with its colon
     recs = []
     try:
         for rec, cnt in nm.records.pairs:
-            fields = ",".join(
-                f"{_json_str(k.decode('utf-8'))}:{_json_str(v.decode('utf-8'))}"
-                for k, v in rec.pairs.expand())
-            recs.extend(["{" + fields + "}"] * cnt)
+            fields = []
+            for (k, v), c in rec.pairs.pairs:
+                key = keys.get(k)
+                if key is None:
+                    key = keys[k] = _json_str(k.decode("utf-8")) + ":"
+                fields += [key + _json_str(v.decode("utf-8"))] * c
+            recs += ["{" + ",".join(fields) + "}"] * cnt
     except UnicodeDecodeError:
         raise FormatError("nested payload is not valid UTF-8 JSON") from None
     return "[" + ",".join(recs) + "]"

@@ -5,12 +5,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (linear_forward, linear_reverse, probe, subtree_total, tree_depth,
                      tree_fields)
-from mszip import ContractError, FreqTree, Multiset, build_balanced
+from mszip import ContractError, FreqList, FreqTree, Multiset, build_balanced
 
 REFERENCE = Multiset([("a", 1), ("b", 2), ("c", 3), ("d", 1), ("e", 1)])
 
@@ -270,6 +270,55 @@ class TestLeftCounts:
             elif t.total:
                 t.lookup_and_remove(rng.randrange(t.total))
             fields = tree_fields(t)
+
+
+class TestFreqList:
+    """The sorted list answers every walk as the tree over the same
+    occurrences does."""
+
+    def test_reference_walks(self):
+        t = FreqList(REFERENCE)
+        assert t.items == ["a", "b", "b", "c", "c", "c", "d", "e"]
+        assert t.lookup_and_remove(4) == ("c", 3, 3)
+        assert t.insert_and_lookup("c") == (3, 3)
+        assert t.lookup_and_remove(0) == ("a", 0, 1)
+        assert t.insert_and_lookup("f") == (7, 1)
+        assert (t.total, t.to_multiset()) == (8, Multiset(
+            [("b", 2), ("c", 3), ("d", 1), ("e", 1), ("f", 1)]))
+
+    def test_empty(self):
+        t = FreqList()
+        assert (t.total, t.to_multiset()) == (0, Multiset())
+        assert t.insert_and_lookup(b"x") == (0, 1)
+        assert t.lookup_and_remove(0) == (b"x", 0, 1)
+        assert FreqList(Multiset()).items == []
+
+    def test_index_out_of_range(self):
+        t = FreqList(REFERENCE)
+        for i in (-1, 8, 100):
+            with pytest.raises(ContractError, match=f"index {i} outside"):
+                t.lookup_and_remove(i)
+        assert t.to_multiset() == REFERENCE
+
+    @seed(20261020)
+    @settings(max_examples=200)
+    @given(st.booleans(), multisets(max_unique=24, max_count=4),
+           st.lists(st.sampled_from(["insert", "remove"]), max_size=60),
+           st.randoms(use_true_random=False))
+    def test_walks_match_the_tree(self, filled, m, walks, rng):
+        tree, lst = (build_balanced(m), FreqList(m)) if filled else (FreqTree(), FreqList())
+        seen = [sym for sym, _ in m.pairs]  # drained symbols stay candidates
+        for walk in walks:
+            if walk == "insert":
+                sym = (rng.choice(seen) if seen and rng.random() < 0.5
+                       else rng.randrange(1001))
+                seen.append(sym)
+                assert lst.insert_and_lookup(sym) == tree.insert_and_lookup(sym)
+            elif tree.total:
+                i = rng.randrange(tree.total)
+                assert lst.lookup_and_remove(i) == tree.lookup_and_remove(i)
+            assert lst.total == tree.total
+            assert lst.to_multiset() == tree.to_multiset()
 
 
 class TestVisitInstrumentation:

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mszip.nested
-from mszip import (ContractError, FormatError, IngestError, Multiset,
+from helpers import sample_encode_reference
+from mszip import (ContractError, FormatError, FreqTree, IngestError, Multiset,
                    NestedMultiset, PairCodec, QuantizedCategorical, Record,
-                   canonical_json, decode_nested, encode_multiset, encode_nested,
-                   info_content, ingest_json, ingest_json_records, length_bits,
-                   nested_savings_bound, permutation_bits, sequence_state,
-                   state_new)
+                   build_balanced, canonical_json, decode_nested, encode_multiset,
+                   encode_nested, info_content, ingest_json, ingest_json_records,
+                   length_bits, nested_savings_bound, permutation_bits,
+                   sequence_state, serialize, state_new)
 from mszip.cli import pair_counts
+from mszip.nested import LIST_CUTOFF
 from mszip.varint import encode_uvarint
 
 PC = PairCodec(63)
@@ -260,6 +262,20 @@ class TestNestedRoundTrip:
         monkeypatch.setattr(Record, "__lt__", refuse)  # > reflects onto it
         assert decode_nested(state, sizes, PC) == nm
 
+    def test_encode_compares_keys_not_records(self, monkeypatch):
+        r = rec(("k", "v"))
+        nm = NestedMultiset.from_records(
+            [r, r, rec(("a", "1"), ("b", "2")), rec(("a", "1")), rec(("z", ""))])
+
+        def refuse(self, other):
+            raise AssertionError("records compared in Python")
+
+        monkeypatch.setattr(Record, "__lt__", refuse)
+        monkeypatch.setattr(Record, "__eq__", refuse)
+        state, sizes = encode_nested(nm, PC)
+        monkeypatch.undo()
+        assert decode_nested(state, sizes, PC) == nm
+
     def test_random_collections(self):
         rng = random.Random(888)
         for _ in range(25):
@@ -271,6 +287,76 @@ class TestNestedRoundTrip:
                 records.append(Record(pairs))
             nm = NestedMultiset.from_records(records)
             assert roundtrip(nm) == nm
+
+
+class _TreeRecords:
+    """The nested encode on balanced trees only, each drained by the
+    reference sampling loop."""
+
+    def __init__(self, pair_codec):
+        self.pair_codec, self.sizes = pair_codec, []
+
+    def encode(self, s, record):
+        self.sizes.append(record.pairs.total)
+        return sample_encode_reference(s, build_balanced(record.pairs), self.pair_codec)
+
+    def state(self, nm):
+        return sample_encode_reference(state_new(), build_balanced(nm.records), self)
+
+
+def tables_used(monkeypatch, nm, pc):
+    """Round-trip ``nm`` and return the totals of the multisets the encode
+    built trees for and those of the trees the decode filled."""
+    built, made = [], []
+
+    def counted_build(m):
+        built.append(m.total)
+        return build_balanced(m)
+
+    def counted_tree():
+        made.append(FreqTree())
+        return made[-1]
+
+    monkeypatch.setattr(mszip.nested, "build_balanced", counted_build)
+    monkeypatch.setattr(mszip.nested, "FreqTree", counted_tree)
+    state, sizes = encode_nested(nm, pc)
+    assert decode_nested(state, sizes, pc) == nm
+    return sorted(built), sorted(t.total for t in made)
+
+
+class TestTablesAcrossTheCutoff:
+    """A level of at most ``LIST_CUTOFF`` occurrences samples from a
+    ``FreqList``, a larger one from a ``FreqTree``; the state is the one the
+    trees alone give."""
+
+    def test_large_record_and_outer_level(self, monkeypatch):
+        big = Record([(b"n", b"%d" % j) for j in range(LIST_CUTOFF + 1)])
+        small = [Record([(b"id", b"%d" % j), (b"a", b"x" * (j % 3))])
+                 for j in range(LIST_CUTOFF)]
+        nm = NestedMultiset.from_records([big] + small + small[:1])
+        assert nm.outer_size == LIST_CUTOFF + 2
+        ref = _TreeRecords(PC)
+        want = ref.state(nm)
+        state, sizes = encode_nested(nm, PC)
+        assert serialize(state) == serialize(want) and sizes == ref.sizes
+        assert tables_used(monkeypatch, nm, PC) == \
+            ([LIST_CUTOFF + 1, LIST_CUTOFF + 2], [LIST_CUTOFF + 1, LIST_CUTOFF + 2])
+
+    @pytest.mark.parametrize("cutoff", [0, 2, 3, 4, 6])
+    def test_any_cutoff_gives_the_tree_state(self, monkeypatch, cutoff):
+        monkeypatch.setattr(mszip.nested, "LIST_CUTOFF", cutoff)
+        r = rec(("a", "1"), ("b", "2"), ("b", "2"), ("c", ""))
+        records = [r, r, rec(("a", "1")), rec(), rec(("k", "v"), ("z", "9"), ("z", "9"))]
+        nm = NestedMultiset.from_records(records)
+        pc = keyed(nm)
+        ref = _TreeRecords(pc)
+        want = ref.state(nm)
+        state, sizes = encode_nested(nm, pc)
+        assert (state, sizes) == (want, ref.sizes)
+        # the outer level, then each record instance
+        above = [n for n in [len(records)] + [r.pairs.total for r in records]
+                 if n > cutoff]
+        assert tables_used(monkeypatch, nm, pc) == (sorted(above), sorted(above))
 
 
 class TestSavingsBound:
