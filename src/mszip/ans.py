@@ -40,6 +40,7 @@ shows up only as a small one-time overhead in the final length.
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from operator import index as _int
@@ -199,3 +200,14 @@ def length_bits(s: tuple) -> int:
         k += 1
         w = w[1]
     return HEAD_BITS + WORD_BITS * k
+
+
+def fractional_bits(s: tuple) -> float:
+    """The information the state holds, 32 bits per word plus log2 of the
+    head: smooth where ``length_bits`` counts whole words."""
+    k = 0
+    w = s[1]
+    while w:
+        k += 1
+        w = w[1]
+    return WORD_BITS * k + math.log2(s[0])

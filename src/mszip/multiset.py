@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, repeat, starmap
-from operator import index as _int, itemgetter, lt
+from operator import index as _int, lt
 
 from .errors import ContractError
 
@@ -207,12 +207,8 @@ class FreqList:
     __slots__ = ("items", "total")
 
     def __init__(self, m: Multiset | None = None):
-        if m is None:
-            self.items = []
-        elif m.total == len(m.pairs):  # every count is 1
-            self.items = list(map(itemgetter(0), m.pairs))
-        else:
-            self.items = list(chain.from_iterable(starmap(repeat, m.pairs)))
+        self.items = ([] if m is None
+                      else list(chain.from_iterable(starmap(repeat, m.pairs))))
         self.total = len(self.items)
 
     def lookup_and_remove(self, i):
@@ -237,7 +233,10 @@ class FreqList:
 
     def to_multiset(self) -> Multiset:
         items = self.items
-        if all(map(lt, items, items[1:])):  # no symbol repeats
+        # without repeats the sorted items are already the canonical pairs;
+        # skipping from_iterable's Counter and sort takes about 7% off a
+        # records-json decode (BENCH_pr22_nested_lists.json, fast_paths)
+        if all(map(lt, items, items[1:])):
             return Multiset._canonical(tuple(zip(items, repeat(1))), self.total)
         return Multiset.from_iterable(items)
 

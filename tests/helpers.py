@@ -1,6 +1,5 @@
 """Shared test utilities: independent oracles and data builders."""
 
-import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -8,7 +7,7 @@ from operator import index as _int
 
 from mszip import (CodeTriple, ContractError, L, Multiset, UniformCodec,
                    decode_advance, decode_peek, encode_op)
-from mszip.ans import WORD_BITS, _checked
+from mszip.ans import _checked, fractional_bits  # noqa: F401
 
 
 def linear_forward(pairs, sym):
@@ -90,16 +89,6 @@ def random_multiset(rng: random.Random, max_total=256, alphabet=1 << 16) -> Mult
     else:  # single symbol
         syms = [rng.randrange(alphabet)] * total
     return Multiset.from_iterable(syms)
-
-
-def fractional_bits(s) -> float:
-    """Smooth state length, 32 * words + log2(head); for rate measurements."""
-    k = 0
-    w = s[1]
-    while w:
-        k += 1
-        w = w[1]
-    return WORD_BITS * k + math.log2(s[0])
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import mszip
-from helpers import fractional_bits
-from mszip import (ContractError, encode_nested, ingest_json, nested_savings_bound,
-                   sequence_state)
+from mszip import ContractError
 from mszip.ans import WORD_BITS
-from mszip.cli import main, pair_codec, pair_counts
+from mszip.cli import main
 from mszip.bench import (default_prefixes, gen_dirichlet_source,
                          gen_fixed_unique_multiset, json_rows, synthetic_rows)
 
@@ -135,17 +133,12 @@ class TestJsonRows:
                 "records", "pairs", "repetition", "compressed_bits",
                 "sequence_bits", "savings_bits", "bound_bits", "savings_ratio",
                 "encode_s", "decode_s"]
-            # both lengths count whole 32-bit words, so the measured savings
-            # may pass the bound by less than one word
-            assert row["savings_bits"] < row["bound_bits"] + WORD_BITS
-            assert row["savings_ratio"] == pytest.approx(
-                row["savings_bits"] / row["bound_bits"], rel=1e-4)
-        # the savings in fractional bits stay within the bound
-        nm = ingest_json(text)
-        pc = pair_codec(*pair_counts(nm))
-        savings = (fractional_bits(sequence_state(nm, pc))
-                   - fractional_bits(encode_nested(nm, pc)[0]))
-        assert 0 < savings <= nested_savings_bound(nm)
+            assert row["savings_bits"] <= row["bound_bits"]
+            assert row["savings_ratio"] <= 1.0
+            # the savings in information are within a word of the difference
+            # of the two sizes, which count whole words
+            assert abs(row["savings_bits"] - row["sequence_bits"]
+                       + row["compressed_bits"]) <= WORD_BITS
 
     def test_full_prefix_is_coded_as_compress_writes_it(self, tmp_path):
         rng = random.Random(2026)
