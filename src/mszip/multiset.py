@@ -234,8 +234,8 @@ class FreqList:
     def to_multiset(self) -> Multiset:
         items = self.items
         # without repeats the sorted items are already the canonical pairs;
-        # skipping from_iterable's Counter and sort takes about 7% off a
-        # records-json decode (BENCH_pr22_nested_lists.json, fast_paths)
+        # skipping from_iterable's Counter and sort takes about 7% off
+        # decode_nested on perfbench's records-json input (2-vCPU VM)
         if all(map(lt, items, items[1:])):
             return Multiset._canonical(tuple(zip(items, repeat(1))), self.total)
         return Multiset.from_iterable(items)

@@ -48,9 +48,9 @@ _LN2 = math.log(2)
 _VARINT1 = tuple(bytes((n,)) for n in range(0x80))  # the one-byte varints
 
 # The most occurrences a level samples from a FreqList; above it, a FreqTree.
-# Per step, build included, the list is faster on record keys up to about
-# 2^14 and on (key, value) pairs up to about 2^12 to 2^13, with the tree
-# faster above (BENCH_pr22_nested_lists.json, crossover); 2^13 sits between.
+# Per step, build included (thread CPU on a 2-vCPU VM), the list is faster on
+# record keys up to about 2^14 and on (key, value) pairs up to about 2^12 to
+# 2^13, with the tree faster above; 2^13 sits between.
 # The tree also bounds the work of a header that claims a huge record, which
 # the list's O(total) moves per step would make quadratic.
 LIST_CUTOFF = 1 << 13

@@ -149,7 +149,8 @@ class TestJsonRows:
         res = CliRunner().invoke(main, ["compress", str(tmp_path / "r.json"), "-o",
                                         str(tmp_path / "r.msz"), "--nested"])
         assert res.exit_code == 0, res.output
-        line = next(x for x in res.output.splitlines() if x.startswith("compressed_bits:"))
+        line = next(x for x in res.output.splitlines()
+                    if x.startswith("compressed_bits:"))
         row = json_rows(doc, prefixes=[60])[0]
         assert row["compressed_bits"] == int(line.split(":")[1])
         # the keys repeat, so compress codes them under a categorical
