@@ -108,9 +108,11 @@ def _round_trip(m: Multiset, codec):
     return state, etree, dtree, t1 - t0, t2 - t1
 
 
-def synthetic_rows(unique: int, sizes, alphabets, seed: int = 0,
-                   reps: int = 1) -> list[dict]:
-    """One row per (alphabet, repetition, size) multiset of ``unique`` symbols."""
+def synthetic_sweeps(unique: int, sizes, alphabets, seed: int = 0,
+                     reps: int = 1) -> tuple[list, list]:
+    """The (alphabet, precision, codec, repetition, multiset) of each
+    (alphabet, repetition, size) row, and five sweeps of round trips over
+    them: each sweep holds one ``_round_trip`` result per row, in row order."""
     if reps < 1:
         raise ContractError("repetitions must be >= 1")
     if not sizes or not alphabets:
@@ -135,11 +137,22 @@ def synthetic_rows(unique: int, sizes, alphabets, seed: int = 0,
                 groups.append((a, precision, codec, rep, m))
     sweeps = [[_round_trip(m, codec) for _, _, codec, _, m in groups]
               for _ in range(5)]
+    return groups, sweeps
+
+
+def synthetic_rows(unique: int, sizes, alphabets, seed: int = 0,
+                   reps: int = 1) -> list[dict]:
+    """One row per (alphabet, repetition, size) multiset of ``unique`` symbols.
+
+    ``compressed_bits`` and ``sequence_bits`` are serialized sizes, in whole
+    words; ``savings_bits`` is the information content (``fractional_bits``)
+    of the order-keeping state less that of the written one, as in
+    ``json_rows``."""
+    groups, sweeps = synthetic_sweeps(unique, sizes, alphabets, seed, reps)
     rows = []
     for (a, precision, codec, rep, m), runs in zip(groups, zip(*sweeps)):
         state, etree, dtree, _, _ = runs[-1]
-        compressed = length_bits(state)
-        sequence = length_bits(encode_sequence(m.expand(), codec))
+        sequence_s = encode_sequence(m.expand(), codec)
         rows.append({
             "alphabet_size": a,
             "multiset_size": m.total,
@@ -147,16 +160,24 @@ def synthetic_rows(unique: int, sizes, alphabets, seed: int = 0,
             "repetition": rep,
             "seed": seed,
             "precision": precision,
-            "compressed_bits": compressed,
+            "compressed_bits": length_bits(state),
             "info_bits": round(info_content(m, codec), 3),
-            "sequence_bits": sequence,
-            "savings_bits": sequence - compressed,
+            "sequence_bits": length_bits(sequence_s),
+            "savings_bits": _savings(sequence_s, state),
             "encode_s": round(median(r[3] for r in runs), 6),
             "decode_s": round(median(r[4] for r in runs), 6),
             "encoder_visits": etree.visits,
             "decoder_visits": dtree.visits,
         })
     return rows
+
+
+def _savings(sequence_state, state) -> float:
+    """The information of ``sequence_state`` less that of ``state``, rounded
+    down to a thousandth of a bit: not the difference of two whole-word
+    sizes, whose rounding could push it past the savings bound."""
+    return math.floor(1000 * (fractional_bits(sequence_state)
+                              - fractional_bits(state))) / 1000
 
 
 def default_prefixes(n: int) -> list[int]:
@@ -199,7 +220,7 @@ def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
         pc = pair_codec(*pair_counts(nm))
         bound = round(nested_savings_bound(nm), 3)
         sequence_s = sequence_state(nm, pc)
-        sequence, sequence_info = length_bits(sequence_s), fractional_bits(sequence_s)
+        sequence = length_bits(sequence_s)
         for rep in range(repetitions):
             with _gc_paused():
                 t0 = time.thread_time()
@@ -210,15 +231,12 @@ def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
                 decode_s = time.thread_time() - t0
             if back != nm:
                 raise RuntimeError("nested round-trip mismatch in benchmark")
-            compressed = length_bits(state)
-            # in information, not whole words, rounded down to the bound's
-            # thousandth of a bit
-            savings = math.floor(1000 * (sequence_info - fractional_bits(state))) / 1000
+            savings = _savings(sequence_s, state)
             rows.append({
                 "records": nm.outer_size,
                 "pairs": nm.pair_count,
                 "repetition": rep,
-                "compressed_bits": compressed,
+                "compressed_bits": length_bits(state),
                 "sequence_bits": sequence,
                 "savings_bits": savings,
                 "bound_bits": bound,

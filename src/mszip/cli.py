@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
+from itertools import chain, repeat, starmap
+from operator import itemgetter
 from pathlib import Path
 
 import click
@@ -56,12 +58,13 @@ KEYS_PRECISION = 1 << 16
 
 def pair_counts(nm: NestedMultiset) -> tuple[Counter, Counter]:
     """The pairs of ``nm`` counted by key and by value length."""
-    keys, value_lengths = Counter(), Counter()
-    for rec, cnt in nm.records.pairs:
-        for (k, v), c in rec.pairs.pairs:
-            keys[k] += cnt * c
-            value_lengths[len(v)] += cnt * c
-    return keys, value_lengths
+    # each record's (pair, count) items once per copy of the record, then
+    # each pair once per occurrence, so that the Counters count in C
+    items = chain.from_iterable(chain.from_iterable(
+        repeat(rec.pairs.pairs, cnt) for rec, cnt in nm.records.pairs))
+    pairs = list(chain.from_iterable(starmap(repeat, items)))
+    return (Counter(map(itemgetter(0), pairs)),
+            Counter(map(len, map(itemgetter(1), pairs))))
 
 
 def ideal_bits(codec: PairCodec, keys: Counter, value_lengths: Counter) -> float:

@@ -202,29 +202,36 @@ class FreqList:
     walks, ``total`` and ``to_multiset`` of ``FreqTree`` and the same results.
 
     Built from ``m``, or empty; its symbols must compare in C (ints, bytes,
-    tuples of bytes) for its walks to be fast."""
+    tuples of bytes) for its walks to be fast. While no symbol repeats, as in
+    a list built from a multiset whose counts are all 1 and not inserted
+    into since, the occurrence at ``i`` owns the interval [i, i + 1), and
+    ``distinct`` says so."""
 
-    __slots__ = ("items", "total")
+    __slots__ = ("items", "total", "distinct")
 
     def __init__(self, m: Multiset | None = None):
         self.items = ([] if m is None
                       else list(chain.from_iterable(starmap(repeat, m.pairs))))
         self.total = len(self.items)
+        self.distinct = m is not None and self.total == len(m.pairs)
 
     def lookup_and_remove(self, i):
         """Remove the occurrence at ``i``; return (sym, c, p) as of before."""
         if not 0 <= i < self.total:
             raise ContractError(f"index {i} outside [0, {self.total})")
+        self.total -= 1
         items = self.items
+        if self.distinct:
+            return items.pop(i), i, 1
         sym = items[i]
         c = bisect_left(items, sym, 0, i)
         p = bisect_right(items, sym, i + 1) - c
         del items[i]
-        self.total -= 1
         return sym, c, p
 
     def insert_and_lookup(self, sym):
         """Add one occurrence of ``sym``; return (c, p) after the insert."""
+        self.distinct = False
         items = self.items
         c = bisect_left(items, sym)
         items.insert(c, sym)

@@ -74,6 +74,13 @@ def _check_pairs(pairs):
             raise ContractError(f"record pairs must be (bytes, bytes), got {pair!r}")
 
 
+def _sorted_multiset(s: list) -> Multiset:
+    """The multiset of the sorted list ``s``."""
+    if all(map(lt, s, s[1:])):  # nothing repeats: every count is 1
+        return Multiset._canonical(tuple(zip(s, repeat(1))), len(s))
+    return Multiset.from_iterable(s)
+
+
 class Record:
     """Inner multiset of (key, value) byte pairs with a canonical identity.
 
@@ -92,10 +99,7 @@ class Record:
             s = list(pairs)
             _check_pairs(s)  # before sort() or Counter can raise TypeError
             s.sort()
-            if all(map(lt, s, s[1:])):  # no pair repeats: every count is 1
-                ms = Multiset._canonical(tuple(zip(s, repeat(1))), len(s))
-            else:  # a pair repeats
-                ms = Multiset.from_iterable(s)
+            ms = _sorted_multiset(s)
         self._frame(ms)
 
     @classmethod
@@ -266,8 +270,9 @@ def nested_savings_bound(nm: NestedMultiset) -> float:
     return bits / _LN2
 
 
-# The text of each scalar type json.loads yields; a miss is an object or array.
-_SCALAR_TEXT = {str: str, int: repr, float: repr,
+# The text of each scalar type json.loads yields other than str; a miss is an
+# object or array.
+_SCALAR_TEXT = {int: repr, float: repr,
                 bool: {True: "true", False: "false"}.__getitem__,
                 type(None): lambda _: "null"}
 
@@ -277,7 +282,8 @@ def ingest_json_records(text) -> list[Record]:
 
     Keys and values are coerced to UTF-8 strings (integers in decimal,
     booleans as "true"/"false", null as "null"); duplicate keys inside one
-    object are kept with their multiplicity.
+    object are kept with their multiplicity. Each distinct key is encoded
+    once, so all pairs of one key name share its ``bytes``.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -294,21 +300,29 @@ def ingest_json_records(text) -> list[Record]:
     if not isinstance(doc, list):
         raise IngestError("top-level value must be an array", position="document root")
     records = []
+    keys = {}  # each distinct key's bytes
     for idx, item in enumerate(doc):
         if not isinstance(item, tuple):
             raise IngestError("array items must be objects", position=f"record {idx}")
         pairs = []
         try:
             for k, v in item:
-                to_text = _SCALAR_TEXT.get(type(v))
-                if to_text is None:
-                    raise IngestError("nested objects/arrays are not supported",
-                                      position=f"record {idx}, key {k!r}")
-                pairs.append((k.encode("utf-8"), to_text(v).encode("utf-8")))
+                if type(v) is not str:
+                    to_text = _SCALAR_TEXT.get(type(v))
+                    if to_text is None:
+                        raise IngestError("nested objects/arrays are not supported",
+                                          position=f"record {idx}, key {k!r}")
+                    v = to_text(v)
+                kb = keys.get(k)
+                if kb is None:
+                    kb = keys[k] = k.encode("utf-8")
+                pairs.append((kb, v.encode("utf-8")))
         except UnicodeEncodeError as e:  # a lone surrogate escape such as "\ud800"
             raise IngestError(f"string is not valid UTF-8 ({e.reason})",
                               position=f"record {idx}, key {k!r}") from None
-        records.append(Record(pairs))
+        pairs.sort()
+        # every pair is (bytes, bytes), made just above: no check
+        records.append(Record._trusted(_sorted_multiset(pairs)))
     return records
 
 

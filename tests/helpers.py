@@ -1,11 +1,13 @@
 """Shared test utilities: independent oracles and data builders."""
 
+import json
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from operator import index as _int
 
-from mszip import (CodeTriple, ContractError, L, Multiset, UniformCodec,
+from mszip import (CodeTriple, ContractError, L, Multiset, Record, UniformCodec,
                    decode_advance, decode_peek, encode_op)
 from mszip.ans import _checked, fractional_bits  # noqa: F401
 
@@ -231,3 +233,26 @@ def crc32c_reference(data, crc=0):
     for b in data:
         crc = (crc >> 8) ^ _CRC32C_TABLE[(crc ^ b) & 0xFF]
     return crc ^ 0xFFFFFFFF
+
+
+_SCALAR_TEXTS = {str: str, int: repr, float: repr, type(None): lambda _: "null",
+                 bool: lambda b: "true" if b else "false"}
+
+
+def ingest_reference(text) -> list:
+    """``ingest_json_records`` on valid input, one pair at a time: each key
+    and each value encoded on its own, each record through ``Record``'s
+    checks. The oracle for the ingest's shared keys and unchecked records."""
+    return [Record([(k.encode("utf-8"), _SCALAR_TEXTS[type(v)](v).encode("utf-8"))
+                    for k, v in obj])
+            for obj in json.loads(text, object_pairs_hook=tuple)]
+
+
+def pair_counts_reference(nm):
+    """``cli.pair_counts`` one pair occurrence at a time."""
+    keys, value_lengths = Counter(), Counter()
+    for rec in nm.records.expand():
+        for k, v in rec.pairs.expand():
+            keys[k] += 1
+            value_lengths[len(v)] += 1
+    return keys, value_lengths

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import time
+from statistics import median
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from mszip import (B, ByteStringCodec, CodeTriple, Container, FreqTree, L,
                    encode_multiset, encode_nested, info_content, length_bits,
                    nested_savings_bound, pack, sequence_state, serialize,
                    state_new)
-from mszip.bench import gen_dirichlet_source, synthetic_rows
+from mszip.bench import gen_dirichlet_source, synthetic_sweeps
 from mszip.container import KIND_FLAT
 from test_ans import run_stack_discipline_trial
 
@@ -127,33 +128,45 @@ def test_criterion_04_savings_magnitude():
            f"(log2 7054! = {math.lgamma(7055) / math.log(2):.0f}) in {elapsed:.1f}s")
 
 
-def _min_times(rows):
-    """min encode+decode seconds per (alphabet, size) group."""
+def _sweep_times(groups, sweep, alphabet=None, size=None):
+    """One sweep's min encode+decode seconds over the repetitions, for each
+    size at ``alphabet`` or for each alphabet at ``size``, in row order."""
     best = {}
-    for r in rows:
-        key = (r["alphabet_size"], r["multiset_size"])
-        t = r["encode_s"] + r["decode_s"]
-        best[key] = min(best.get(key, t), t)
-    return best
+    for (a, _, _, _, m), r in zip(groups, sweep):
+        if alphabet in (None, a) and size in (None, m.total):
+            t = r[3] + r[4]
+            key = (a, m.total)
+            best[key] = min(best.get(key, t), t)
+    return list(best.values())
 
+
+# The time ratios are taken within each sweep, whose times lie close
+# together, then their median over the five sweeps: a change in machine
+# speed between sweeps moves a sweep's times alike and leaves its ratios.
 
 def test_criterion_05_alphabet_independence():
     alphabets = (1 << 10, 1 << 14, 1 << 18)
-    times = _min_times(synthetic_rows(512, (1 << 13,), alphabets, seed=20260815,
-                                      reps=3))
-    ts = [times[(a, 1 << 13)] for a in alphabets]
-    ratio = max(ts) / min(ts)
-    assert ratio < 1.5, ts
+    groups, sweeps = synthetic_sweeps(512, (1 << 13,), alphabets, seed=20260815,
+                                      reps=3)
+    ratios = []
+    for sweep in sweeps:
+        ts = _sweep_times(groups, sweep, size=1 << 13)
+        ratios.append(max(ts) / min(ts))
+    ratio = median(ratios)
+    assert ratio < 1.5, ratios
     _ok(5, f"|A| 2^10..2^18 at |M|=2^13: time ratio {ratio:.2f} < 1.5")
 
 
 def test_criterion_06_linear_scaling():
     sizes = tuple(1 << k for k in range(10, 15))
-    times = _min_times(synthetic_rows(512, sizes, (1 << 14,), seed=20260816,
-                                      reps=5))
-    ts = [times[(1 << 14, s)] for s in sizes]
-    ratios = [b / a for a, b in zip(ts, ts[1:])]
-    assert all(1.6 <= r <= 2.6 for r in ratios), ratios
+    groups, sweeps = synthetic_sweeps(512, sizes, (1 << 14,), seed=20260816,
+                                      reps=5)
+    per_sweep = []
+    for sweep in sweeps:
+        ts = _sweep_times(groups, sweep, alphabet=1 << 14)
+        per_sweep.append([b / a for a, b in zip(ts, ts[1:])])
+    ratios = [median(r) for r in zip(*per_sweep)]
+    assert all(1.6 <= r <= 2.6 for r in ratios), per_sweep
     _ok(6, "per-doubling time ratios " + ", ".join(f"{r:.2f}" for r in ratios))
 
 

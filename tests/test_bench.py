@@ -87,7 +87,10 @@ class TestSyntheticRows:
                 "encoder_visits", "decoder_visits"]
             assert row["compressed_bits"] >= row["info_bits"]
             assert row["compressed_bits"] <= row["info_bits"] + 96
-            assert row["savings_bits"] == row["sequence_bits"] - row["compressed_bits"]
+            # the savings in information are within a word of the difference
+            # of the two sizes, which count whole words
+            assert abs(row["savings_bits"] - row["sequence_bits"]
+                       + row["compressed_bits"]) <= WORD_BITS
 
     def test_determinism_except_times(self):
         strip = lambda row: {k: v for k, v in row.items()

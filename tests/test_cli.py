@@ -11,12 +11,15 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mszip
+from helpers import pair_counts_reference
 from mszip import (ByteStringCodec, Container, Multiset, NestedMultiset,
-                   PairCodec, QuantizedCategorical, codec_blob, encode_multiset,
-                   ingest_json, ingest_json_records, nested_savings_bound, pack,
-                   serialize, unpack)
+                   PairCodec, QuantizedCategorical, Record, codec_blob,
+                   encode_multiset, ingest_json, ingest_json_records,
+                   nested_savings_bound, pack, serialize, unpack)
 from mszip.cli import ideal_bits, main, pair_codec, pair_counts
 from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT
 from mszip.varint import encode_uvarint
@@ -223,6 +226,20 @@ class TestKeyCodecChoice:
                 cnt * pc.bits(pair) for rec, cnt in nm.records.pairs
                 for pair in rec.pairs.expand())
             assert ideal_bits(pc, keys, value_lengths) == pytest.approx(per_pair)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from([b"", b"id", b"k\xff"]),
+                                       st.sampled_from([b"", b"1", b"22", b"\xff"])),
+                             max_size=6), max_size=6),
+           st.lists(st.integers(0, 5), max_size=8))
+    def test_pair_counts_equal_the_per_pair_reference(self, records, copies):
+        # small vocabularies, so pairs repeat within records; ``copies``
+        # repeats records
+        records = [Record(pairs) for pairs in records]
+        if records:
+            records += [records[i % len(records)] for i in copies]
+        nm = NestedMultiset.from_records(records)
+        assert pair_counts(nm) == pair_counts_reference(nm)
 
     def test_a_tie_keeps_byte_keys(self, monkeypatch):
         monkeypatch.setattr("mszip.cli.ideal_bits", lambda *_args: 0.0)

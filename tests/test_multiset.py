@@ -300,6 +300,28 @@ class TestFreqList:
                 t.lookup_and_remove(i)
         assert t.to_multiset() == REFERENCE
 
+    def test_distinct_symbols_are_their_own_intervals(self):
+        t = FreqList(Multiset([(b"a", 1), (b"c", 1), (b"d", 1), (b"f", 1)]))
+        assert t.distinct
+        for i in (2, 0, 1):
+            items = list(t.items)
+            assert t.lookup_and_remove(i) == (items[i], i, 1)
+        assert (t.items, t.total, t.distinct) == ([b"c"], 1, True)
+        assert not FreqList(REFERENCE).distinct
+
+    def test_walks_match_the_tree_after_inserts_into_distinct(self):
+        m = Multiset([(1, 1), (3, 1), (5, 1), (7, 1)])
+        tree, lst = build_balanced(m), FreqList(m)
+        assert lst.lookup_and_remove(1) == tree.lookup_and_remove(1) == (3, 1, 1)
+        for sym in (4, 5):  # a new symbol, then a repeat
+            assert lst.insert_and_lookup(sym) == tree.insert_and_lookup(sym)
+        assert not lst.distinct
+        assert lst.lookup_and_remove(3) == tree.lookup_and_remove(3) == (5, 2, 2)
+        for i in (2, 0, 1, 0):
+            assert lst.lookup_and_remove(i) == tree.lookup_and_remove(i)
+            assert lst.to_multiset() == tree.to_multiset()
+        assert lst.total == tree.total == 0
+
     @seed(20261020)
     @settings(max_examples=200)
     @given(st.booleans(), multisets(max_unique=24, max_count=4),

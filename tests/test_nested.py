@@ -6,11 +6,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import mszip.nested
-from helpers import sample_encode_reference
+from helpers import ingest_reference, sample_encode_reference
 from mszip import (ContractError, FormatError, FreqTree, IngestError, Multiset,
                    NestedMultiset, PairCodec, QuantizedCategorical, Record,
                    build_balanced, canonical_json, decode_nested, encode_multiset,
@@ -197,7 +197,9 @@ class TestKeyedRoundTrip:
 
 
 class TestTrustedRecords:
-    def test_decode_checks_no_pairs(self, monkeypatch):
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The calls of ``_check_pairs`` from here on."""
         calls = []
         check = mszip.nested._check_pairs
 
@@ -205,15 +207,26 @@ class TestTrustedRecords:
             calls.append(1)
             return check(pairs)
 
+        monkeypatch.setattr(mszip.nested, "_check_pairs", counted)
+        return calls
+
+    def test_decode_checks_no_pairs(self, checks):
         r = rec(("k", "v"), ("id", "1"))
         nm = NestedMultiset.from_records([r, r, rec(("a", "1")), Record([])])
-        monkeypatch.setattr(mszip.nested, "_check_pairs", counted)
+        checks.clear()
         for pc in (PC, keyed(nm)):
             state, sizes = encode_nested(nm, pc)
             assert decode_nested(state, sizes, pc) == nm
-        assert calls == []
+        assert checks == []
         Record(r.pairs)  # the public constructor still checks
-        assert calls == [1]
+        assert checks == [1]
+
+    def test_ingest_checks_no_pairs(self, checks):
+        records = ingest_json_records('[{"k":"v","id":1},{"id":1,"k":"v"},'
+                                      '{"a":null,"a":null},{}]')
+        assert checks == []
+        assert records == [rec(("k", "v"), ("id", "1"))] * 2 + [
+            rec(("a", "null"), ("a", "null")), rec()]
 
     def test_trusted_record_equals_checked(self):
         r = rec(("k", "v"), ("k", "v"), ("a", ""))
@@ -388,7 +401,42 @@ class TestSavingsBound:
         assert savings <= nested_savings_bound(nm)
 
 
+# Keys from a small vocabulary, so that one object can repeat a key, or any
+# text; values of every scalar type, strings and keys non-ASCII too.
+JSON_KEYS = (st.sampled_from(["id", "", "n\u00e9v", "\u043a\u043b\u044e\u0447"])
+             | st.text(max_size=4))
+JSON_SCALARS = st.one_of(st.text(max_size=6), st.integers(-2**70, 2**70),
+                         st.floats(), st.booleans(), st.none())
+
+
+@st.composite
+def json_collections(draw):
+    """JSON text of an array of flat objects, written out pair by pair so
+    that an object can repeat a key, some objects repeated."""
+    objects = draw(st.lists(st.lists(st.tuples(JSON_KEYS, JSON_SCALARS), max_size=6),
+                            max_size=6))
+    if objects:
+        objects += draw(st.lists(st.sampled_from(objects), max_size=4))
+    ascii_only = draw(st.booleans())
+    dump = lambda x: json.dumps(x, ensure_ascii=ascii_only)
+    return "[" + ",".join("{" + ",".join(dump(k) + ":" + dump(v) for k, v in obj) + "}"
+                          for obj in objects) + "]"
+
+
 class TestIngestJson:
+    @seed(20261021)
+    @settings(max_examples=300)
+    @given(json_collections())
+    def test_equals_the_per_pair_reference(self, text):
+        records = ingest_json_records(text)
+        want = ingest_reference(text)
+        assert [(r.key, r.pairs) for r in records] == [(r.key, r.pairs) for r in want]
+        # all pairs of one key name share one bytes object
+        objects = {}
+        for r in records:
+            for (k, _), _ in r.pairs.pairs:
+                assert objects.setdefault(k, k) is k
+
     def test_single_object(self):
         nm = ingest_json('[{"a":1}]')
         assert nm == NestedMultiset.from_records([rec(("a", "1"))])
