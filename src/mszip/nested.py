@@ -22,7 +22,9 @@ back to its record.
 
 ``ingest_json`` maps the supported JSON subset, an array of flat objects with
 scalar values, onto this structure by casting every key and value to its
-UTF-8 string form.
+UTF-8 string form. Ingest encodes each distinct key once, so all pairs of one
+key name share one ``bytes`` object, and builds each record from its sorted
+pairs without ``Record``'s check, since it made every pair itself.
 """
 
 from __future__ import annotations

@@ -128,15 +128,14 @@ def test_criterion_04_savings_magnitude():
            f"(log2 7054! = {math.lgamma(7055) / math.log(2):.0f}) in {elapsed:.1f}s")
 
 
-def _sweep_times(groups, sweep, alphabet=None, size=None):
-    """One sweep's min encode+decode seconds over the repetitions, for each
-    size at ``alphabet`` or for each alphabet at ``size``, in row order."""
+def _sweep_times(groups, sweep):
+    """One sweep's min encode+decode seconds over the repetitions of each
+    (alphabet, size), in row order."""
     best = {}
     for (a, _, _, _, m), r in zip(groups, sweep):
-        if alphabet in (None, a) and size in (None, m.total):
-            t = r[3] + r[4]
-            key = (a, m.total)
-            best[key] = min(best.get(key, t), t)
+        t = r[3] + r[4]
+        key = (a, m.total)
+        best[key] = min(best.get(key, t), t)
     return list(best.values())
 
 
@@ -150,7 +149,7 @@ def test_criterion_05_alphabet_independence():
                                       reps=3)
     ratios = []
     for sweep in sweeps:
-        ts = _sweep_times(groups, sweep, size=1 << 13)
+        ts = _sweep_times(groups, sweep)
         ratios.append(max(ts) / min(ts))
     ratio = median(ratios)
     assert ratio < 1.5, ratios
@@ -163,7 +162,7 @@ def test_criterion_06_linear_scaling():
                                       reps=5)
     per_sweep = []
     for sweep in sweeps:
-        ts = _sweep_times(groups, sweep, alphabet=1 << 14)
+        ts = _sweep_times(groups, sweep)
         per_sweep.append([b / a for a, b in zip(ts, ts[1:])])
     ratios = [median(r) for r in zip(*per_sweep)]
     assert all(1.6 <= r <= 2.6 for r in ratios), per_sweep
