@@ -13,8 +13,12 @@ encoder's ``lookup_and_remove`` walks by index and the decoder's
 ``insert_and_lookup`` by symbol, each deciding a level from one count (the
 left count, then the node's own) and taking 1 from, or adding 1 to, the left
 counts it passes, the count it stops at and the total: lookup and mutation
-cost one root-to-node pass. Trees count the nodes they touch (``visits``) so
-complexity claims can be checked empirically.
+cost one root-to-node pass. The index walk keeps only ``j``, what is left of
+the index below the node it stands on, so the interval it stops at starts at
+c = i - j. Trees count the nodes they touch (``visits``) so complexity claims
+can be checked empirically: every node stores its depth (the root's is 1),
+and a walk adds the depth of the node it stops at, once, instead of counting
+levels as it goes.
 
 ``FreqList`` lays the same index line out as one sorted list of the
 occurrences, so a symbol's copies sit side by side at [c, c + p) and
@@ -94,12 +98,16 @@ class Multiset:
 
 
 class _Node:
-    __slots__ = ("sym", "lt", "cnt", "left", "right")
+    """One distinct symbol of a ``FreqTree``. ``depth`` counts the nodes from
+    the root (1) down to this one; nodes never move, so it never changes."""
 
-    def __init__(self, sym, cnt):
+    __slots__ = ("sym", "lt", "cnt", "depth", "left", "right")
+
+    def __init__(self, sym, cnt, depth):
         self.sym = sym
         self.lt = 0  # occurrences in the left subtree
         self.cnt = cnt  # own occurrences, 0 once drained
+        self.depth = depth
         self.left = None
         self.right = None
 
@@ -107,8 +115,9 @@ class _Node:
 class FreqTree:
     """Order-statistic BST over the remaining occurrences of a multiset.
 
-    Each node keeps its symbol's count and its left subtree's count; the
-    tree keeps ``total``, the count of all occurrences, up to date."""
+    Each node keeps its symbol's count, its left subtree's count and its
+    depth; the tree keeps ``total``, the count of all occurrences, up to
+    date, and ``visits``, the sum of the depths its walks stopped at."""
 
     __slots__ = ("root", "total", "visits")
 
@@ -121,64 +130,67 @@ class FreqTree:
         """Remove one occurrence of the symbol whose interval holds ``i``;
         return (sym, c, p) as of before.
 
-        Nodes are never unlinked: a symbol whose count reaches zero keeps its
-        node, which owns an empty interval that later walks pass over, so the
-        tree keeps its shape."""
-        i = _int(i)
+        The walk keeps only ``j``, what is left of ``i`` below the node it
+        stands on, so the interval starts at c = i - j. Nodes are never
+        unlinked: a symbol whose count reaches zero keeps its node, which
+        owns an empty interval that later walks pass over, so the tree keeps
+        its shape."""
+        try:
+            i = _int(i)
+        except TypeError:
+            raise ContractError(f"index {i!r} is not an integer") from None
         if not 0 <= i < self.total:
             raise ContractError(f"index {i} outside [0, {self.total})")
         self.total -= 1
         node = self.root
-        offset = 0
-        seen = 0
+        j = i
         while True:
-            seen += 1
             lt = node.lt
-            if i < lt:
+            if j < lt:
                 node.lt = lt - 1
                 node = node.left
                 continue
-            i -= lt
-            offset += lt
+            j -= lt
             cnt = node.cnt
-            if i < cnt:
+            if j < cnt:
                 node.cnt = cnt - 1
-                self.visits += seen
-                return node.sym, offset, cnt
-            i -= cnt
-            offset += cnt
+                self.visits += node.depth
+                return node.sym, i - j, cnt
+            j -= cnt
             node = node.right
 
     def insert_and_lookup(self, sym):
         """Add one occurrence of ``sym``; return (c, p) after the insert. A
-        symbol with no node gets a new leaf."""
+        symbol with no node gets a new leaf, one level below the node the
+        walk stopped at."""
         self.total += 1
-        parent = None
         node = self.root
+        if node is None:
+            self.root = _Node(sym, 1, 1)
+            self.visits += 1
+            return 0, 1
         offset = 0
-        seen = 0
-        while node is not None:
-            seen += 1
+        while True:
             key = node.sym
             if sym < key:
                 node.lt += 1
-                parent, node = node, node.left
+                kid = node.left
+                if kid is None:
+                    node.left = _Node(sym, 1, node.depth + 1)
+                    break
             elif sym > key:
                 offset += node.lt + node.cnt
-                parent, node = node, node.right
+                kid = node.right
+                if kid is None:
+                    node.right = _Node(sym, 1, node.depth + 1)
+                    break
             else:
                 cnt = node.cnt + 1
                 node.cnt = cnt
-                self.visits += seen
+                self.visits += node.depth
                 return offset + node.lt, cnt
-        leaf = _Node(sym, 1)
-        if parent is None:
-            self.root = leaf
-        elif sym < parent.sym:
-            parent.left = leaf
-        else:
-            parent.right = leaf
-        self.visits += seen + 1
+            node = kid
+        self.visits += node.depth + 1  # the new leaf's depth
         return offset, 1
 
     def to_multiset(self) -> Multiset:
@@ -217,16 +229,21 @@ class FreqList:
 
     def lookup_and_remove(self, i):
         """Remove the occurrence at ``i``; return (sym, c, p) as of before."""
-        if not 0 <= i < self.total:
-            raise ContractError(f"index {i} outside [0, {self.total})")
-        self.total -= 1
         items = self.items
-        if self.distinct:
-            return items.pop(i), i, 1
-        sym = items[i]
+        try:  # a non-integer index fails here, before any change
+            if not 0 <= i < self.total:
+                raise ContractError(f"index {i} outside [0, {self.total})")
+            if self.distinct:
+                sym = items.pop(i)
+                self.total -= 1
+                return sym, i, 1
+            sym = items[i]
+        except TypeError:
+            raise ContractError(f"index {i!r} is not an integer") from None
         c = bisect_left(items, sym, 0, i)
         p = bisect_right(items, sym, i + 1) - c
         del items[i]
+        self.total -= 1
         return sym, c, p
 
     def insert_and_lookup(self, sym):
@@ -257,18 +274,18 @@ def build_balanced(m: Multiset) -> FreqTree:
     """
     pairs = m.pairs
 
-    def build(lo, hi):  # -> (subtree root, subtree total)
+    def build(lo, hi, depth):  # -> (subtree root, subtree total)
         n = hi - lo
         if n == 0:
             return None, 0
         full = (1 << (n.bit_length() - 1)) - 1  # perfect right-subtree size
         mid = lo + (n - 1 - full)
         sym, cnt = pairs[mid]
-        node = _Node(sym, cnt)
-        node.left, node.lt = build(lo, mid)
-        node.right, rt = build(mid + 1, hi)
+        node = _Node(sym, cnt, depth)
+        node.left, node.lt = build(lo, mid, depth + 1)
+        node.right, rt = build(mid + 1, hi, depth + 1)
         return node, node.lt + cnt + rt
 
     tree = FreqTree()
-    tree.root, tree.total = build(0, len(pairs))
+    tree.root, tree.total = build(0, len(pairs), 1)
     return tree

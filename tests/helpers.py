@@ -10,6 +10,7 @@ from operator import index as _int
 from mszip import (CodeTriple, ContractError, L, Multiset, Record, UniformCodec,
                    decode_advance, decode_peek, encode_op)
 from mszip.ans import _checked, fractional_bits  # noqa: F401
+from mszip.multiset import _Node
 
 
 def linear_forward(pairs, sym):
@@ -64,6 +65,71 @@ def probe(t, i):
     again = t.insert_and_lookup(found[0])
     assert tree_fields(t) == fields
     return found, again
+
+
+def lookup_and_remove_reference(tree, i):
+    """``FreqTree.lookup_and_remove`` counting one visit per level in
+    ``seen`` and summing the counts it passes on the left in ``offset``. The
+    oracle for the walk that adds the depth of the node it stops at and
+    returns c = i - j."""
+    i = _int(i)
+    if not 0 <= i < tree.total:
+        raise ContractError(f"index {i} outside [0, {tree.total})")
+    tree.total -= 1
+    node = tree.root
+    offset = 0
+    seen = 0
+    while True:
+        seen += 1
+        lt = node.lt
+        if i < lt:
+            node.lt = lt - 1
+            node = node.left
+            continue
+        i -= lt
+        offset += lt
+        cnt = node.cnt
+        if i < cnt:
+            node.cnt = cnt - 1
+            tree.visits += seen
+            return node.sym, offset, cnt
+        i -= cnt
+        offset += cnt
+        node = node.right
+
+
+def insert_and_lookup_reference(tree, sym):
+    """``FreqTree.insert_and_lookup`` counting one visit per level in
+    ``seen`` and keeping the ``parent`` to hang a new leaf from. The oracle
+    for the walk that adds the depth of the node it stops at."""
+    tree.total += 1
+    parent = None
+    node = tree.root
+    offset = 0
+    seen = 0
+    while node is not None:
+        seen += 1
+        key = node.sym
+        if sym < key:
+            node.lt += 1
+            parent, node = node, node.left
+        elif sym > key:
+            offset += node.lt + node.cnt
+            parent, node = node, node.right
+        else:
+            cnt = node.cnt + 1
+            node.cnt = cnt
+            tree.visits += seen
+            return offset + node.lt, cnt
+    leaf = _Node(sym, 1, seen + 1)
+    if parent is None:
+        tree.root = leaf
+    elif sym < parent.sym:
+        parent.left = leaf
+    else:
+        parent.right = leaf
+    tree.visits += seen + 1
+    return offset, 1
 
 
 def random_triple(rng: random.Random, max_n=1 << 15) -> CodeTriple:
@@ -193,11 +259,14 @@ def sample_decode_reference(s, size, codec, tree):
 
 
 def tree_depth(tree) -> int:
-    """Nodes on the longest root-to-leaf path of a ``FreqTree``."""
+    """Nodes on the longest root-to-leaf path of a ``FreqTree``, after
+    checking that every node's ``depth`` is its own count of nodes from the
+    root."""
     d = 0
     stack = [(tree.root, 1)] if tree.root is not None else []
     while stack:
         node, k = stack.pop()
+        assert node.depth == k, node.sym
         d = max(d, k)
         stack.extend((kid, k + 1) for kid in (node.left, node.right) if kid is not None)
     return d

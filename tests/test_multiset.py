@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import (linear_forward, linear_reverse, probe, subtree_total, tree_depth,
+from helpers import (insert_and_lookup_reference, linear_forward, linear_reverse,
+                     lookup_and_remove_reference, probe, subtree_total, tree_depth,
                      tree_fields)
 from mszip import ContractError, FreqList, FreqTree, Multiset, build_balanced
 
@@ -115,6 +116,15 @@ class TestLookups:
             with pytest.raises(ContractError, match=f"index {i} outside"):
                 t.lookup_and_remove(i)
         assert tree_fields(t) == fields
+
+    @pytest.mark.parametrize("table", [FreqList, build_balanced])
+    @pytest.mark.parametrize("m", [Multiset([(1, 1), (3, 1), (5, 1)]), REFERENCE])
+    def test_non_integer_index_changes_nothing(self, table, m):
+        t = table(m)
+        for i in (1.5, 1.0, "1", None):
+            with pytest.raises(ContractError, match="is not an integer"):
+                t.lookup_and_remove(i)
+            assert (t.total, t.to_multiset()) == (m.total, m)
 
     @given(multisets())
     def test_lookups_match_linear_oracle(self, m):
@@ -270,6 +280,55 @@ class TestLeftCounts:
             elif t.total:
                 t.lookup_and_remove(rng.randrange(t.total))
             fields = tree_fields(t)
+
+
+class TestReferenceWalks:
+    """The walks give what the reference walks (``seen`` per level, the
+    ``offset`` sum, the ``parent`` link) give on a twin tree, visits
+    included, step by step."""
+
+    @seed(20261021)
+    @settings(max_examples=200)
+    @given(st.booleans(), multisets(max_unique=24, max_count=4),
+           st.lists(st.sampled_from(["insert", "remove"]), max_size=80),
+           st.randoms(use_true_random=False))
+    def test_walks_match_the_reference(self, filled, m, walks, rng):
+        tree, ref = (build_balanced(m), build_balanced(m)) if filled else (FreqTree(), FreqTree())
+        seen = [sym for sym, _ in m.pairs]  # drained symbols stay candidates
+        for walk in walks:
+            if walk == "insert":
+                sym = (rng.choice(seen) if seen and rng.random() < 0.5
+                       else rng.randrange(1001))
+                seen.append(sym)
+                assert tree.insert_and_lookup(sym) == insert_and_lookup_reference(ref, sym)
+            elif tree.total:
+                i = rng.randrange(tree.total)
+                assert tree.lookup_and_remove(i) == lookup_and_remove_reference(ref, i)
+            assert (tree.total, tree.visits) == (ref.total, ref.visits)
+        assert tree.to_multiset() == ref.to_multiset()
+
+
+class TestDepth:
+    """Every node's ``depth`` is its count of nodes from the root, however
+    the tree was built and drained (``tree_depth`` checks it)."""
+
+    @given(multisets(max_unique=200), st.randoms(use_true_random=False))
+    def test_balanced_build_and_drain(self, m, rng):
+        t = build_balanced(m)
+        depth = tree_depth(t)
+        while t.total:
+            t.lookup_and_remove(rng.randrange(t.total))
+        assert tree_depth(t) == depth
+
+    @given(st.lists(st.integers(0, 1000), max_size=120), st.randoms(use_true_random=False))
+    def test_inserts_into_empty_and_drain(self, syms, rng):
+        t = FreqTree()
+        for sym in syms:
+            t.insert_and_lookup(sym)
+        depth = tree_depth(t)
+        while t.total:
+            t.lookup_and_remove(rng.randrange(t.total))
+        assert tree_depth(t) == depth
 
 
 class TestFreqList:
