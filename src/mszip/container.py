@@ -3,7 +3,7 @@
 Layout (integers big-endian, varints LEB128):
 
     magic    4 bytes   b"MSZ1"
-    version  1 byte    currently 1
+    version  1 byte    currently 2
     codec    1 byte    1 = byte strings, 2 = categorical over byte strings
                        (nested: 1 = byte keys, 2 = keys under a categorical)
     params   varint length, then the codec parameter blob
@@ -24,6 +24,12 @@ and values as byte strings, with the byte-strings blob. Codec 2 codes values
 as byte strings and keys under a categorical over the keys; its blob is the
 values' varint max_len followed by the categorical blob of the keys.
 
+Version 2 codes each byte string of k bytes as the ops (decode order) of
+its length, under a uniform code over [0, max_len], then of each 3-byte
+chunk, ``(c, 1, 2**24)``, then of the last k % 3 bytes, ``(c, 1,
+2**(8*(k % 3)))``, where ``c`` holds the bytes little-endian. Version 1 coded
+the same strings as one op per byte; this reader refuses it.
+
 The checksum exists because ANS decoding cannot detect corruption on its own;
 a mismatched or truncated container fails loudly before any decode starts.
 """
@@ -38,7 +44,7 @@ from .symbols import ByteStringCodec, QuantizedCategorical
 from .varint import decode_uvarint, encode_uvarint
 
 MAGIC = b"MSZ1"
-VERSION = 1
+VERSION = 2
 
 CODEC_BYTES = 1
 CODEC_CATEGORICAL = 2
@@ -220,7 +226,8 @@ def unpack(data: bytes) -> Container:
     version = data[pos]
     pos += 1
     if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
+        raise FormatError(f"container version {version} is not supported; "
+                          f"this reader reads version {VERSION}")
     if pos >= len(data):
         raise FormatError("truncated header")
     codec_id = data[pos]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-import sys
 from array import array
 from bisect import bisect_right
 from itertools import repeat
@@ -202,34 +201,39 @@ class UniformCodec:
         return math.log2(self.size)
 
 
-# The code triple of each byte under the uniform byte model.
-_BYTE_TRIPLES = tuple(CodeTriple(b, 1, 256) for b in range(256))
-_WORDS_BE = struct.Struct(">I")
-_BIG_ENDIAN = sys.byteorder == "big"
-# 2**(8*m) and its mask, for the m-byte ops (m < 4)
+# 2**(8*r), the precision of an op on r payload bytes
 _SPANS = (1, 1 << 8, 1 << 16, 1 << 24)
-_MASKS = (0, 0xFF, 0xFFFF, 0xFFFFFF)
+
+
+def _as_bytes(payload) -> bytes:
+    """A payload that is not ``bytes`` as ``bytes``: bytes-like data or a
+    sequence of integers in [0, 256)."""
+    if isinstance(payload, (str, int)):
+        raise ContractError(f"payload must be bytes, not {type(payload).__name__}")
+    try:
+        return bytes(payload)
+    except ValueError:
+        raise ContractError("payload item outside a byte, [0, 256)") from None
+    except TypeError:
+        raise ContractError(
+            f"{type(payload).__name__} payload is not a sequence of byte values") from None
 
 
 class ByteStringCodec:
     """Variable-length byte strings under a uniform byte model.
 
-    Payload bytes are folded in reverse so they decode in natural order, then
-    the length is folded with a uniform code over [0, max_len]. ``max_len`` is
-    rounded up to ``2**k - 1``, which the container format stores, so the
-    length code costs exactly k = log2(max_len + 1) bits per payload: the
-    price of making concatenated payloads self-delimiting.
-
-    The output is bit for bit that of one ``(b, 1, 256)`` op per byte, but up
-    to three bytes share one ``encode_op``/``decode_advance`` call on the
-    triple ``(c, 1, 2**(8*m))``, where ``c`` holds the m bytes little-endian
-    (the byte decoded first is lowest). Such an op leaves the state that m
-    byte ops leave when none of them spills or refills before the last: an
-    encode needs a head of bit length below ``64 - 8*m``, or of at least 56
-    so that both spill before the first byte; a decode needs one of at least
-    ``24 + 8*m``. Each side takes the widest op its head allows: one aligning
-    op brings the head to 56 bits or more, then 3-byte and 1-byte ops
-    alternate, about one op per two bytes. The length is one more op.
+    A payload of k bytes is cut into q = k // 3 chunks of three bytes and a
+    tail of r = k % 3. Each is one uniform op whose symbol is its bytes read
+    little-endian, so the byte decoded first is the lowest: the tail is
+    encoded first, as ``(c, 1, 2**(8*r))``, then the chunks, last first, as
+    ``(c, 1, 2**24)``, so they decode in natural order. Three bytes are the
+    most one op can carry, as an op's precision is at most ``L = 2**31``.
+    The length is folded last with a uniform code over [0, max_len].
+    ``max_len`` is rounded up to ``2**k - 1``, which the container format
+    stores, so the length code costs exactly k = log2(max_len + 1) bits per
+    payload: the price of making concatenated payloads self-delimiting. Every
+    op has a power-of-two precision, so a payload costs exactly 8 bits per
+    byte, and the decoder peeks each chunk as ``head & 0xFFFFFF``.
     """
 
     __slots__ = ("max_len",)
@@ -243,63 +247,44 @@ class ByteStringCodec:
             raise ContractError(f"max_len {self.max_len} exceeds {L - 1}")
 
     def encode(self, state, payload: bytes):
-        if len(payload) > self.max_len:
-            raise ContractError(
-                f"payload of {len(payload)} bytes exceeds max_len {self.max_len}")
-        # bytes() keeps a sequence of ints from indexing the table out of range
-        payload = bytes(payload)
+        if type(payload) is not bytes:
+            payload = _as_bytes(payload)
         k = len(payload)
-        m = (63 - state[0].bit_length()) >> 3  # 0 from 56 bits on
-        if m > k:
-            m = k
-        if m:
-            k -= m
-            c = int.from_bytes(payload[k:k + m], "little")
-            state = encode_op(state, (c, 1, _SPANS[m]))
-        r = k & 3
-        # Big-endian words of the reversed bytes are the little-endian words
-        # of the payload, last first. Each is a 3-byte op, which spills, and
-        # a 1-byte op, which cannot.
-        for (w,) in _WORDS_BE.iter_unpack(payload[r:k][::-1]):
-            state = encode_op(state, (w >> 8, 1, 1 << 24))
-            state = encode_op(state, _BYTE_TRIPLES[w & 0xFF])
-        if r:
-            c = int.from_bytes(payload[:r], "little")
-            state = encode_op(state, (c, 1, _SPANS[r]))
-        return encode_op(state, (len(payload), 1, self.max_len + 1))
+        if k > self.max_len:
+            raise ContractError(f"payload of {k} bytes exceeds max_len {self.max_len}")
+        q = k - k % 3  # the bytes in whole chunks
+        if q < k:
+            state = encode_op(
+                state, (int.from_bytes(payload[q:], "little"), 1, _SPANS[k - q]))
+        if q:
+            # each chunk under a zero top byte, read as a little-endian word
+            words = bytearray(q // 3 * 4)
+            words[0::4] = payload[0:q:3]
+            words[1::4] = payload[1:q:3]
+            words[2::4] = payload[2:q:3]
+            for c in reversed(struct.unpack(f"<{q // 3}I", words)):
+                state = encode_op(state, (c, 1, 1 << 24))
+        return encode_op(state, (k, 1, self.max_len + 1))
 
     def decode(self, state):
         k = state[0] & self.max_len  # the peeked index under precision max_len + 1
         state = decode_advance(state, (k, 1, self.max_len + 1))
-        head = state[0]
-        out = b""
-        if head < 1 << 55:
-            m = (head.bit_length() - 24) >> 3
-            if m > k:
-                m = k
-            if m:
-                k -= m
-                c = head & _MASKS[m]
-                state = decode_advance(state, (c, 1, _SPANS[m]))
-                out = c.to_bytes(m, "little")
-        if k >= 4:
-            # The 3-byte op cannot refill, so one read of the head's low word
-            # gives both ops of a group: its low 3 bytes, then its top byte.
-            words = array("I")
-            for _ in range(k >> 2):
-                w = state[0] & 0xFFFFFFFF
-                state = decode_advance(state, (w & 0xFFFFFF, 1, 1 << 24))
-                state = decode_advance(state, _BYTE_TRIPLES[w >> 24])
-                words.append(w)
-            if _BIG_ENDIAN:
-                words.byteswap()
-            out += words.tobytes()
-            k &= 3
-        if k:
-            c = state[0] & _MASKS[k]
-            state = decode_advance(state, (c, 1, _SPANS[k]))
-            out += c.to_bytes(k, "little")
-        return state, out
+        q, r = divmod(k, 3)
+        out = bytearray()
+        if q:
+            chunks = []
+            for _ in range(q):
+                c = state[0] & 0xFFFFFF
+                state = decode_advance(state, (c, 1, 1 << 24))
+                chunks.append(c)
+            # each chunk as a little-endian word, less its zero top byte
+            out = bytearray(struct.pack(f"<{q}I", *chunks))
+            del out[3::4]
+        if r:
+            c = state[0] & (_SPANS[r] - 1)
+            state = decode_advance(state, (c, 1, _SPANS[r]))
+            out += c.to_bytes(r, "little")
+        return state, bytes(out)
 
     def bits(self, payload) -> float:
         return 8 * len(payload) + math.log2(self.max_len + 1)

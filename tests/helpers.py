@@ -192,23 +192,33 @@ class ExactAnsState:
 
 
 def byte_string_encode_chain(codec, state, payload):
-    """``ByteStringCodec.encode`` as a chain of codec calls: one
-    ``UniformCodec(256)`` encode per byte, last byte first, then the length
-    under ``UniformCodec(max_len + 1)``. The oracle for the byte codec."""
-    byte_code = UniformCodec(256)
-    for b in reversed(payload):
-        state = byte_code.encode(state, b)
-    return UniformCodec(codec.max_len + 1).encode(state, len(payload))
+    """``ByteStringCodec.encode`` as a chain of codec calls. With k bytes
+    and r = k % 3: the last r bytes under ``UniformCodec(2**(8*r))``, then
+    each 3-byte chunk, last chunk first, under ``UniformCodec(2**24)``, each
+    read as a little-endian integer, then the length under
+    ``UniformCodec(max_len + 1)``. The oracle for the byte codec."""
+    k = len(payload)
+    q = k - k % 3
+    if q < k:
+        tail = UniformCodec(1 << 8 * (k - q))
+        state = tail.encode(state, int.from_bytes(payload[q:], "little"))
+    chunk_code = UniformCodec(1 << 24)
+    for i in reversed(range(0, q, 3)):
+        state = chunk_code.encode(state, int.from_bytes(payload[i:i + 3], "little"))
+    return UniformCodec(codec.max_len + 1).encode(state, k)
 
 
 def byte_string_decode_chain(codec, state):
     """Inverse of ``byte_string_encode_chain``."""
-    state, n = UniformCodec(codec.max_len + 1).decode(state)
-    byte_code = UniformCodec(256)
+    state, k = UniformCodec(codec.max_len + 1).decode(state)
+    chunk_code = UniformCodec(1 << 24)
     out = bytearray()
-    for _ in range(n):
-        state, b = byte_code.decode(state)
-        out.append(b)
+    for _ in range(k // 3):
+        state, c = chunk_code.decode(state)
+        out += c.to_bytes(3, "little")
+    if k % 3:
+        state, c = UniformCodec(1 << 8 * (k % 3)).decode(state)
+        out += c.to_bytes(k % 3, "little")
     return state, bytes(out)
 
 

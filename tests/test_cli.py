@@ -415,29 +415,34 @@ class TestBenchCommands:
 
 GOLDEN_FLAT = {
     "bytes": ([b"alpha", b"beta", b"beta", b"", b"\x00\xff" * 3], [],
-              "daf602a8b617a45a02b7aa5340e1569321d30b7ae4db8d8a55441e9f90f0eb44"),
+              "7c4526c6783521c248081dafa543a69ed16372ed42155e1cb1aff1e25ec069c2"),
     "categorical": ([b"x", b"y", b"x", b"x", b"z"],
                     ["--codec", "categorical", "--precision", "8"],
-                    "23b951cddf245e1d1ea34875749708984ffcd30f413aa09d9d5f79b5fe5eb998"),
+                    "f73db67c3f291ec65b490bb8beff9f75dfde0800087bca8d77e3f2067bd5a4d3"),
     # Every byte value, a 1 KiB payload, an empty one and one of exactly
     # max_len (2047) bytes: pins the stack words the byte code spills.
     "spill": ([bytes(range(256)), bytes((37 * i + 11) % 256 for i in range(1024)),
                b"", bytes((i * i + 3 * i) % 251 for i in range(2047))], [],
-              "944efb2330d2e714fe45e21f4287a3d11e33425d320d2ced6b87b4612f06d655"),
+              "d902a48644f152bde0968d616ca656386886c18192e09ab2be6d1e96e07c995b"),
 }
 GOLDEN_NESTED = (
     b'[{"a": 1, "b": "x"}, {"b": "x", "a": 1}, {"id": 7, "ok": true, "v": null}, '
     b'{"k": "v", "k": "v"}, {}]',
-    "0ef5a5e895e6d007f21cf88d5f76e3bfab00affd52b08b1d68882dd9efd944a5")
+    "278ddbcc1c680f0ed49689b8e8bf756bad7d6c50cd0ffffee404837eb43b9503")
 GOLDEN_NESTED_HEX = (
     json.dumps([{"sha": hashlib.sha256(str(i % 9).encode()).hexdigest()[:24],
                  "n": i % 4} for i in range(12)]).encode(),
-    "6ca74aee0aa17646bfb74057ac3f657c2aeaf12146aeb44c09641804c6c159ca")
+    "2f0bd33e45ec394eb302d629fe7603587c3c29e07a7282311c3dd279327ae02b")
 
 
-# GOLDEN_NESTED's container, as written before keys could be coded under a
-# categorical; it is still the one compress writes.
+# GOLDEN_NESTED's container: byte keys, version 2. It is the one compress
+# writes.
 NESTED_BYTE_KEYS_HEX = (
+    "4d535a31020101070105030202020062ce45a1555555552bab93a46d6de9b943234a6cc7"
+    "56e8ec62584bc1415d8b593b16b18905b05b08c25e0b11")
+# The same records in a version 1 container, whose byte strings used another
+# op layout.
+NESTED_BYTE_KEYS_V1_HEX = (
     "4d535a310101010701050302000202b4c0d433555555552bab93a46d6de9b9234a6c6c37"
     "56e8ec62584bc1cb5d8b59762d63c105b05b04c44c4b09")
 NESTED_BYTE_KEYS_JSON = ('[{},{"a":"1","b":"x"},{"a":"1","b":"x"},'
@@ -447,13 +452,22 @@ NESTED_BYTE_KEYS_JSON = ('[{},{"a":"1","b":"x"},{"a":"1","b":"x"},'
 class TestGoldenBytes:
     """Pinned container digests: any change to the bits written fails here."""
 
-    def test_byte_key_container_still_decompresses(self, runner, tmp_path):
-        box = tmp_path / "old.msz"
+    def test_byte_key_container_decompresses(self, runner, tmp_path):
+        box = tmp_path / "keys.msz"
         box.write_bytes(bytes.fromhex(NESTED_BYTE_KEYS_HEX))
         assert hashlib.sha256(box.read_bytes()).hexdigest() == GOLDEN_NESTED[1]
         res = runner.invoke(main, ["decompress", str(box), "-o", str(tmp_path / "out")])
         assert res.exit_code == 0, res.output
         assert (tmp_path / "out" / "records.json").read_text() == NESTED_BYTE_KEYS_JSON
+
+    def test_version_1_container_is_refused(self, runner, tmp_path):
+        box = tmp_path / "old.msz"
+        box.write_bytes(bytes.fromhex(NESTED_BYTE_KEYS_V1_HEX))
+        res = runner.invoke(main, ["decompress", str(box), "-o", str(tmp_path / "out")])
+        assert res.exit_code == 1
+        assert ("container version 1 is not supported; this reader reads version 2"
+                in res.output)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_FLAT))
     def test_flat(self, runner, tmp_path, name):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -11,7 +12,8 @@ from mszip import (ByteStringCodec, Container, FormatError, Multiset, MszipError
                    UniformCodec, codec_blob, codec_from_blob, crc32c,
                    decode_multiset, decode_nested, deserialize, encode_multiset,
                    encode_nested, pack, serialize, unpack)
-from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED
+from mszip.container import (CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED,
+                             VERSION)
 from mszip.varint import decode_uvarint, encode_uvarint
 
 CHUNK = 1 << 15  # the bytes crc32c folds in one pass
@@ -175,6 +177,14 @@ class TestCorruption:
         with pytest.raises(FormatError, match="version"):
             unpack(broken)
 
+    @pytest.mark.parametrize("version", [0, 1, VERSION + 1])
+    def test_version_error_names_both_versions(self, version):
+        _, _, data = flat_container()
+        with pytest.raises(FormatError, match=re.escape(
+                f"container version {version} is not supported; "
+                f"this reader reads version {VERSION}")):
+            unpack(data[:4] + bytes([version]) + data[5:])
+
     def test_checksum_mismatch_on_any_flip(self):
         _, _, data = flat_container()
         for pos in range(5, len(data), 7):
@@ -235,9 +245,9 @@ class TestCorruption:
                                 size=0, inner_sizes=(), state=b"")),
          "unknown payload kind 7"),
         (lambda: unpack(b"MSZ1"), "truncated header"),
-        (lambda: unpack(b"MSZ1\x01\x01\x05\x00\x00"), "truncated codec parameters"),
-        (lambda: unpack(b"MSZ1\x01\x01\x00\x09"), "unknown payload kind 9"),
-        (lambda: unpack(b"MSZ1\x01\x01\x00\x00\x00\xab\xcd"), "truncated checksum"),
+        (lambda: unpack(b"MSZ1\x02\x01\x05\x00\x00"), "truncated codec parameters"),
+        (lambda: unpack(b"MSZ1\x02\x01\x00\x09"), "unknown payload kind 9"),
+        (lambda: unpack(b"MSZ1\x02\x01\x00\x00\x00\xab\xcd"), "truncated checksum"),
         (lambda: decode_uvarint(b"\x80"), "truncated varint"),
         (lambda: decode_uvarint(b"\xff" * 10), "varint too long"),
     ], ids=["alphabet-not-bytes", "unknown-codec-class", "bytes-trailing",

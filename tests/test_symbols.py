@@ -263,7 +263,18 @@ class TestByteStringCodec:
 
     @pytest.mark.parametrize("payload", [[256], [-1], [1, -3], "ab"])
     def test_items_outside_a_byte_rejected(self, payload):
-        with pytest.raises((ValueError, TypeError)):
+        with pytest.raises(ContractError):
+            ByteStringCodec(3).encode(state_new(), payload)
+
+    @pytest.mark.parametrize("payload, fragment", [
+        ([256], "payload item outside a byte, [0, 256)"),
+        ("ab", "payload must be bytes, not str"),
+        (3, "payload must be bytes, not int"),
+        ([1.5], "list payload is not a sequence of byte values"),
+        (None, "NoneType payload is not a sequence of byte values"),
+    ], ids=["item-256", "str", "int", "float-item", "none"])
+    def test_bad_payloads_name_the_fault(self, payload, fragment):
+        with pytest.raises(ContractError, match=re.escape(fragment)):
             ByteStringCodec(3).encode(state_new(), payload)
 
     def test_int_sequence_codes_like_bytes(self):
@@ -304,10 +315,9 @@ class TestByteStringCodec:
             assert got == p
 
     def test_every_head_length_matches_uniform_codec_chain(self):
-        # Multi-byte ops are exact only at certain head bit lengths, so walk
-        # every canonical length, at both ends of its range and inside it,
-        # under 0, 1 and 2 stack words, through every aligning op width and
-        # every tail after the four-byte groups.
+        # Walk every canonical head length, at both ends of its range and
+        # inside it, under 0, 1 and 2 stack words, through every tail width
+        # and chunk counts from none to hundreds.
         codec = ByteStringCodec(2047)
         rng = random.Random(7)
         heads = []
@@ -329,7 +339,7 @@ class TestByteStringCodec:
                         (head, words, len(p))
 
     def test_long_payload_matches_uniform_codec_chain(self):
-        # 2**16 + 3 bytes: over 16,000 four-byte groups and a deep state
+        # 2**16 + 3 bytes: over 21,000 three-byte chunks and a deep state
         codec = ByteStringCodec(2**17 - 1)
         payload = random.Random(5).randbytes(2**16 + 3)
         s = UniformCodec(1 << 31).encode(state_new(), 12345)
@@ -421,3 +431,26 @@ class TestTracedOps:
                 assert len(byte_ops) <= k // 2 + 2
                 assert b"".join(c.to_bytes(n.bit_length() // 8, "little")
                                 for c, _, n in byte_ops) == payload
+
+    def test_byte_codec_spends_one_op_per_chunk_and_tail(self, monkeypatch):
+        # k // 3 chunk ops, one tail op for the k % 3 last bytes when there
+        # are any, and one length op: the same count on both sides.
+        ops = []
+        monkeypatch.setattr(symbols, "encode_op", _recorder(ans.encode_op, ops))
+        monkeypatch.setattr(symbols, "decode_advance",
+                            _recorder(ans.decode_advance, ops))
+        codec = ByteStringCodec(2047)
+        rng = random.Random(3)
+        for k in [*range(10), 100, 1024, 2046, 2047]:
+            payload = rng.randbytes(k)
+            ops.clear()
+            s = codec.encode(state_new(), payload)
+            encoded = [t for _, t in ops]
+            ops.clear()
+            assert codec.decode(s) == (state_new(), payload)
+            decoded = [t for _, t in ops]
+            assert len(encoded) == len(decoded) == k // 3 + (k % 3 > 0) + 1
+            # decoded: the length, the chunks in order, then the tail
+            tail = [1 << 8 * (k % 3)] if k % 3 else []
+            assert [n for _, _, n in decoded] == [2048, *[1 << 24] * (k // 3), *tail]
+            assert encoded == decoded[::-1]
