@@ -203,6 +203,9 @@ class UniformCodec:
 
 # 2**(8*r), the precision of an op on r payload bytes
 _SPANS = (1, 1 << 8, 1 << 16, 1 << 24)
+# From this many bytes in whole chunks on, encode reads the chunks with one
+# struct call; below it, reading each chunk alone costs less (CPython 3.11).
+_PACK_FROM = 24
 
 
 def _as_bytes(payload) -> bytes:
@@ -234,6 +237,10 @@ class ByteStringCodec:
     payload: the price of making concatenated payloads self-delimiting. Every
     op has a power-of-two precision, so a payload costs exactly 8 bits per
     byte, and the decoder peeks each chunk as ``head & 0xFFFFFF``.
+
+    Encode reads the chunks of a long payload with extended slices and one
+    ``struct`` call, and those of a short one one at a time, whichever costs
+    less (``_PACK_FROM``); decode appends each chunk's three bytes.
     """
 
     __slots__ = ("max_len",)
@@ -256,7 +263,11 @@ class ByteStringCodec:
         if q < k:
             state = encode_op(
                 state, (int.from_bytes(payload[q:], "little"), 1, _SPANS[k - q]))
-        if q:
+        if q < _PACK_FROM:
+            for i in range(q - 3, -1, -3):
+                c = int.from_bytes(payload[i:i + 3], "little")
+                state = encode_op(state, (c, 1, 1 << 24))
+        else:
             # each chunk under a zero top byte, read as a little-endian word
             words = bytearray(q // 3 * 4)
             words[0::4] = payload[0:q:3]
@@ -269,17 +280,12 @@ class ByteStringCodec:
     def decode(self, state):
         k = state[0] & self.max_len  # the peeked index under precision max_len + 1
         state = decode_advance(state, (k, 1, self.max_len + 1))
-        q, r = divmod(k, 3)
         out = bytearray()
-        if q:
-            chunks = []
-            for _ in range(q):
-                c = state[0] & 0xFFFFFF
-                state = decode_advance(state, (c, 1, 1 << 24))
-                chunks.append(c)
-            # each chunk as a little-endian word, less its zero top byte
-            out = bytearray(struct.pack(f"<{q}I", *chunks))
-            del out[3::4]
+        for _ in range(k // 3):
+            c = state[0] & 0xFFFFFF
+            state = decode_advance(state, (c, 1, 1 << 24))
+            out += c.to_bytes(3, "little")
+        r = k % 3
         if r:
             c = state[0] & (_SPANS[r] - 1)
             state = decode_advance(state, (c, 1, _SPANS[r]))

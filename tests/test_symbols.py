@@ -441,7 +441,7 @@ class TestTracedOps:
                             _recorder(ans.decode_advance, ops))
         codec = ByteStringCodec(2047)
         rng = random.Random(3)
-        for k in [*range(10), 100, 1024, 2046, 2047]:
+        for k in [*range(10), *range(21, 28), 100, 1024, 2046, 2047]:
             payload = rng.randbytes(k)
             ops.clear()
             s = codec.encode(state_new(), payload)
