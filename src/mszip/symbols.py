@@ -204,8 +204,10 @@ class UniformCodec:
 # 2**(8*r), the precision of an op on r payload bytes
 _SPANS = (1, 1 << 8, 1 << 16, 1 << 24)
 # From this many bytes in whole chunks on, encode reads the chunks with one
-# struct call; below it, reading each chunk alone costs less (CPython 3.11).
-_PACK_FROM = 24
+# struct call; below it, reading each chunk alone costs less. Timed per
+# payload length on Python 3.11.7, 2 vCPUs: one chunk at a time wins up to
+# 15 bytes, the two tie at 18, the struct call wins from 21 on.
+_PACK_FROM = 21
 
 
 def _as_bytes(payload) -> bytes:

@@ -245,9 +245,11 @@ class TestCorruption:
                                 size=0, inner_sizes=(), state=b"")),
          "unknown payload kind 7"),
         (lambda: unpack(b"MSZ1"), "truncated header"),
-        (lambda: unpack(b"MSZ1\x02\x01\x05\x00\x00"), "truncated codec parameters"),
-        (lambda: unpack(b"MSZ1\x02\x01\x00\x09"), "unknown payload kind 9"),
-        (lambda: unpack(b"MSZ1\x02\x01\x00\x00\x00\xab\xcd"), "truncated checksum"),
+        (lambda: unpack(b"MSZ1" + bytes([VERSION]) + b"\x01\x05\x00\x00"),
+         "truncated codec parameters"),
+        (lambda: unpack(b"MSZ1" + bytes([VERSION]) + b"\x01\x00\x09"), "unknown payload kind 9"),
+        (lambda: unpack(b"MSZ1" + bytes([VERSION]) + b"\x01\x00\x00\x00\xab\xcd"),
+         "truncated checksum"),
         (lambda: decode_uvarint(b"\x80"), "truncated varint"),
         (lambda: decode_uvarint(b"\xff" * 10), "varint too long"),
     ], ids=["alphabet-not-bytes", "unknown-codec-class", "bytes-trailing",

@@ -261,19 +261,16 @@ class TestByteStringCodec:
         with pytest.raises(ContractError, match="payload of 5 bytes exceeds max_len 3"):
             ByteStringCodec(3).encode(state_new(), b"early")
 
-    @pytest.mark.parametrize("payload", [[256], [-1], [1, -3], "ab"])
-    def test_items_outside_a_byte_rejected(self, payload):
-        with pytest.raises(ContractError):
-            ByteStringCodec(3).encode(state_new(), payload)
-
     @pytest.mark.parametrize("payload, fragment", [
         ([256], "payload item outside a byte, [0, 256)"),
+        ([-1], "payload item outside a byte, [0, 256)"),
+        ([1, -3], "payload item outside a byte, [0, 256)"),
         ("ab", "payload must be bytes, not str"),
         (3, "payload must be bytes, not int"),
         ([1.5], "list payload is not a sequence of byte values"),
         (None, "NoneType payload is not a sequence of byte values"),
-    ], ids=["item-256", "str", "int", "float-item", "none"])
-    def test_bad_payloads_name_the_fault(self, payload, fragment):
+    ], ids=["payload0", "payload1", "payload2", "ab", "int", "float-item", "none"])
+    def test_items_outside_a_byte_rejected(self, payload, fragment):
         with pytest.raises(ContractError, match=re.escape(fragment)):
             ByteStringCodec(3).encode(state_new(), payload)
 
