@@ -205,9 +205,4 @@ def length_bits(s: tuple) -> int:
 def fractional_bits(s: tuple) -> float:
     """The information the state holds, 32 bits per word plus log2 of the
     head: smooth where ``length_bits`` counts whole words."""
-    k = 0
-    w = s[1]
-    while w:
-        k += 1
-        w = w[1]
-    return WORD_BITS * k + math.log2(s[0])
+    return length_bits(s) - HEAD_BITS + math.log2(s[0])

@@ -33,20 +33,19 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter, lt
+from operator import attrgetter, itemgetter
 
 # encode_op and decode_advance are unused here; perfbench patches them by name.
 from .ans import decode_advance, encode_op  # noqa: F401
 from .ans import state_new
 from .errors import ContractError, FormatError, IngestError
-from .mscodec import decode_multiset, encode_sequence, sample_decode, sample_encode
+from .mscodec import _LN2, decode_multiset, encode_sequence, sample_decode, sample_encode
 from .multiset import FreqList, FreqTree, Multiset, build_balanced
 from .symbols import ByteStringCodec
 from .varint import encode_uvarint
 
-_LN2 = math.log(2)
 _VARINT1 = tuple(bytes((n,)) for n in range(0x80))  # the one-byte varints
 
 # The most occurrences a level samples from a FreqList; above it, a FreqTree.
@@ -76,13 +75,6 @@ def _check_pairs(pairs):
             raise ContractError(f"record pairs must be (bytes, bytes), got {pair!r}")
 
 
-def _sorted_multiset(s: list) -> Multiset:
-    """The multiset of the sorted list ``s``."""
-    if all(map(lt, s, s[1:])):  # nothing repeats: every count is 1
-        return Multiset._canonical(tuple(zip(s, repeat(1))), len(s))
-    return Multiset.from_iterable(s)
-
-
 class Record:
     """Inner multiset of (key, value) byte pairs with a canonical identity.
 
@@ -101,7 +93,7 @@ class Record:
             s = list(pairs)
             _check_pairs(s)  # before sort() or Counter can raise TypeError
             s.sort()
-            ms = _sorted_multiset(s)
+            ms = Multiset._from_sorted(s)
         self._frame(ms)
 
     @classmethod
@@ -167,6 +159,11 @@ class NestedMultiset:
     @property
     def pair_count(self) -> int:
         return sum(cnt * rec.pairs.total for rec, cnt in self.records.pairs)
+
+    def expand(self):
+        """Every pair of every record, record by record, in canonical order."""
+        items = chain.from_iterable(map(attrgetter("pairs.pairs"), self.records.expand()))
+        return chain.from_iterable(starmap(repeat, items))
 
     def __eq__(self, other):
         return isinstance(other, NestedMultiset) and self.records == other.records
@@ -259,8 +256,7 @@ def decode_nested(s: tuple, inner_sizes, pair_codec) -> NestedMultiset:
 
 def sequence_state(nm: NestedMultiset, pair_codec) -> tuple:
     """Order-keeping baseline: encode every pair of every record, no sampling."""
-    pairs = (pair for rec in nm.records.expand() for pair in rec.pairs.expand())
-    return encode_sequence(pairs, pair_codec)
+    return encode_sequence(nm.expand(), pair_codec)
 
 
 def nested_savings_bound(nm: NestedMultiset) -> float:
@@ -324,7 +320,7 @@ def ingest_json_records(text) -> list[Record]:
                               position=f"record {idx}, key {k!r}") from None
         pairs.sort()
         # every pair is (bytes, bytes), made just above: no check
-        records.append(Record._trusted(_sorted_multiset(pairs)))
+        records.append(Record._trusted(Multiset._from_sorted(pairs)))
     return records
 
 
