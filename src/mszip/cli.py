@@ -53,6 +53,8 @@ def _int_list(_ctx, _param, value):
 
 
 KEYS_PRECISION = 1 << 16
+# every argument that names an existing file
+_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
 
 
 def pair_counts(nm: NestedMultiset) -> tuple[Counter, Counter]:
@@ -87,8 +89,7 @@ def pair_codec(keys: Counter, value_lengths: Counter) -> PairCodec:
 
 
 @main.command()
-@click.argument("inputs", nargs=-1, required=True,
-                type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@click.argument("inputs", nargs=-1, required=True, type=_FILE)
 @click.option("-o", "--output", required=True, type=click.Path(path_type=Path),
               help="Container file to write.")
 @click.option("--codec", "codec_name", type=click.Choice(["bytes", "categorical"]),
@@ -147,8 +148,7 @@ def compress(inputs, output, codec_name, precision, nested):
 
 
 @main.command()
-@click.argument("container", type=click.Path(exists=True, dir_okay=False,
-                                             path_type=Path))
+@click.argument("container", type=_FILE)
 @click.option("-o", "--outdir", required=True, type=click.Path(file_okay=False,
                                                                path_type=Path),
               help="Directory for the reconstructed symbols.")
@@ -183,8 +183,7 @@ def decompress(container, outdir):
 
 
 @main.command()
-@click.argument("container", type=click.Path(exists=True, dir_okay=False,
-                                             path_type=Path))
+@click.argument("container", type=_FILE)
 def info(container):
     """Print a container's header, and its bytes by field, without decoding
     the state. A nested container's values are byte strings; ``keys`` names
@@ -229,8 +228,7 @@ def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
 
 
 @main.command("bench-json")
-@click.argument("json_file", type=click.Path(exists=True, dir_okay=False,
-                                             path_type=Path))
+@click.argument("json_file", type=_FILE)
 @click.option("--reps", type=int, default=1, show_default=True)
 @click.option("--prefixes", callback=_int_list, default=None,
               help="Comma-separated prefix sizes (default: doubling).")

@@ -44,13 +44,19 @@ class Multiset:
     __slots__ = ("pairs", "total")
 
     def __init__(self, pairs=()):
-        pairs = tuple((sym, _int(cnt)) for sym, cnt in pairs)
+        try:
+            pairs = tuple((sym, _int(cnt)) for sym, cnt in pairs)
+        except (TypeError, ValueError) as e:
+            raise ContractError(f"pairs must be (symbol, integer count): {e}") from None
         prev = None
         for k, (sym, cnt) in enumerate(pairs):
             if cnt < 1:
                 raise ContractError(f"count for {sym!r} must be >= 1, got {cnt}")
-            if k and not prev < sym:
-                raise ContractError("symbols must be strictly increasing")
+            try:
+                if k and not prev < sym:
+                    raise ContractError("symbols must be strictly increasing")
+            except TypeError:
+                raise ContractError(f"symbols {prev!r} and {sym!r} do not compare") from None
             prev = sym
         self.pairs = pairs
         self.total = sum(cnt for _, cnt in pairs)
@@ -60,8 +66,11 @@ class Multiset:
         """Canonicalize any order of possibly repeating symbols."""
         # iter(): Counter would take a mapping's values as counts, so every
         # count here is a positive int and none needs checking
-        counts = Counter(iter(symbols))
-        pairs = tuple(sorted(counts.items()))
+        try:
+            counts = Counter(iter(symbols))
+            pairs = tuple(sorted(counts.items()))
+        except TypeError as e:
+            raise ContractError(f"symbols must be hashable and comparable: {e}") from None
         # sorted() does not check that the order is total (sets are not)
         syms = [sym for sym, _ in pairs]
         if not all(map(lt, syms, syms[1:])):

@@ -295,4 +295,8 @@ class ByteStringCodec:
         return state, bytes(out)
 
     def bits(self, payload) -> float:
-        return 8 * len(payload) + math.log2(self.max_len + 1)
+        """The payload's ideal code length; refuses what ``encode`` refuses."""
+        k = len(payload if type(payload) is bytes else _as_bytes(payload))
+        if k > self.max_len:
+            raise ContractError(f"payload of {k} bytes exceeds max_len {self.max_len}")
+        return 8 * k + math.log2(self.max_len + 1)

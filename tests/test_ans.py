@@ -105,6 +105,18 @@ class TestStateBasics:
         assert serialize(back) == data[12:]  # less the three bottom zero words
         assert length_bits(back) == 64 + 32 * (len(words) - 3)
 
+    def test_fractional_bits_equals_the_word_walk(self):
+        # a state of 2,500 words, counted one by one as fractional_bits once did
+        rng = random.Random(5)
+        stack = ()
+        for _ in range(2_500):
+            stack = (rng.randrange(1, B), stack)
+        k, w = 0, stack
+        while w:
+            k, w = k + 1, w[1]
+        for head in (L, L + 12_345, B * L - 1):
+            assert fractional_bits((head, stack)) == 32 * k + math.log2(head)
+
     @pytest.mark.parametrize("head", [0, L - 1, B * L, 2**64 - 1])
     def test_non_canonical_head_rejected(self, head):
         with pytest.raises(FormatError):

@@ -66,6 +66,31 @@ class TestMultisetType:
         with pytest.raises(ContractError, match="strictly increasing"):
             Multiset.from_iterable([frozenset({1}), frozenset({2})])
 
+    @pytest.mark.parametrize("build, fault", [
+        (lambda: Multiset([("a", 1.5)]), "integer count"),
+        (lambda: Multiset([("a",)]), "integer count"),
+        (lambda: Multiset([(b"a", 1), ("b", 1)]), "do not compare"),
+        (lambda: Multiset.from_iterable([1, "a"]), "comparable: '<' not supported"),
+        (lambda: Multiset.from_iterable([[1], [2]]), "hashable.*unhashable type"),
+    ], ids=["float-count", "one-field-pair", "bytes-then-str", "int-and-str",
+            "unhashable"])
+    def test_bad_input_names_the_fault(self, build, fault):
+        with pytest.raises(ContractError, match=fault):
+            build()
+
+    @seed(20261026)
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-1000, 1000), max_size=60, unique=True)
+           | st.lists(st.integers(-4, 4), max_size=60)
+           | st.lists(st.binary(max_size=2), max_size=60)
+           | st.lists(st.tuples(st.binary(max_size=1), st.binary(max_size=1)),
+                      max_size=60))
+    def test_from_sorted_equals_from_iterable(self, xs):
+        # unique ints take the all-distinct shortcut; small ranges repeat
+        got = Multiset._from_sorted(sorted(xs))
+        want = Multiset.from_iterable(xs)
+        assert (got.pairs, got.total) == (want.pairs, want.total)
+
 
 class TestBuildBalanced:
     def test_reference_tree_shape(self):

@@ -115,6 +115,21 @@ class TestRecord:
         assert PairCodec(15, keys).bits((b"k", b"vv")) == 22
 
 
+class TestExpand:
+    @seed(20261026)
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from([b"", b"a", b"id"]),
+                                       st.binary(max_size=1)), max_size=4),
+                    max_size=8))
+    def test_pairs_record_by_record_in_canonical_order(self, records):
+        # small alphabets, so records and pairs repeat
+        nm = NestedMultiset.from_records([Record(pairs) for pairs in records])
+        want = [pair for rec, n in nm.records.pairs for _ in range(n)
+                for pair, c in rec.pairs.pairs for _ in range(c)]
+        assert list(nm.expand()) == want
+        assert len(want) == nm.pair_count
+
+
 class TestPairCodec:
     def test_byte_keys_are_the_default(self):
         pc = PairCodec(15)

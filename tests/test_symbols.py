@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from helpers import (byte_string_decode_chain, byte_string_encode_chain,
                      categorical_decode_reference, categorical_encode_reference,
                      categorical_triple, fractional_bits)
-from mszip import (B, ByteStringCodec, CodeTriple, ContractError, PairCodec,
-                   QuantizedCategorical, UniformCodec, ans, decode_peek,
-                   deserialize, quantize_pmf, serialize, state_new, symbols)
+from mszip import (B, ByteStringCodec, CodeTriple, ContractError, Multiset,
+                   PairCodec, QuantizedCategorical, UniformCodec, ans, decode_peek,
+                   deserialize, info_content, quantize_pmf, serialize, state_new,
+                   symbols)
 
 
 class TestQuantizePmf:
@@ -273,6 +274,26 @@ class TestByteStringCodec:
     def test_items_outside_a_byte_rejected(self, payload, fragment):
         with pytest.raises(ContractError, match=re.escape(fragment)):
             ByteStringCodec(3).encode(state_new(), payload)
+
+    @pytest.mark.parametrize("payload, fragment", [
+        (b"x" * 10, "payload of 10 bytes exceeds max_len 3"),
+        ("abc", "payload must be bytes, not str"),
+        ([256], "payload item outside a byte, [0, 256)"),
+        (None, "NoneType payload is not a sequence of byte values"),
+    ], ids=["too-long", "str", "item-256", "none"])
+    def test_bits_refuses_what_encode_refuses(self, payload, fragment):
+        codec = ByteStringCodec(3)
+        for call in (codec.bits, lambda p: codec.encode(state_new(), p)):
+            with pytest.raises(ContractError, match=re.escape(fragment)):
+                call(payload)
+        if isinstance(payload, bytes):  # so no size is reported for it either
+            with pytest.raises(ContractError, match=re.escape(fragment)):
+                info_content(Multiset([(payload, 1)]), codec)
+
+    def test_bits_of_what_encode_takes(self):
+        codec = ByteStringCodec(3)
+        assert codec.bits(b"abc") == codec.bits(bytearray(b"abc")) == \
+            codec.bits([97, 98, 99]) == 8 * 3 + 2
 
     def test_int_sequence_codes_like_bytes(self):
         codec = ByteStringCodec(3)
