@@ -59,7 +59,7 @@ _FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
 
 def pair_counts(nm: NestedMultiset) -> tuple[Counter, Counter]:
     """The pairs of ``nm`` counted by key and by value length."""
-    pairs = list(nm.expand())  # so that the Counters count in C
+    pairs = list(nm.expand())  # read twice, by Counters that count in C
     return (Counter(map(itemgetter(0), pairs)),
             Counter(map(len, map(itemgetter(1), pairs))))
 
