@@ -106,7 +106,7 @@ class TestStateBasics:
         assert length_bits(back) == 64 + 32 * (len(words) - 3)
 
     def test_fractional_bits_equals_the_word_walk(self):
-        # a state of 2,500 words, counted one by one as fractional_bits once did
+        # 2,500 words, counted one by one against the count length_bits takes
         rng = random.Random(5)
         stack = ()
         for _ in range(2_500):
