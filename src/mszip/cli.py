@@ -11,8 +11,8 @@ from pathlib import Path
 import click
 
 from .ans import deserialize, serialize
-from .container import (CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT, KIND_NESTED,
-                        Container, codec_blob, codec_from_blob, pack, unpack)
+from .container import (KIND_FLAT, KIND_NESTED, Container, codec_blob, codec_from_blob,
+                        pack, unpack)
 from .errors import MszipError
 from .mscodec import decode_multiset, encode_multiset, rate_report
 from .multiset import Multiset
@@ -170,7 +170,6 @@ def decompress(container, outdir):
     else:
         m = decode_multiset(state, c.size, codec)
         outdir.mkdir(parents=True, exist_ok=True)
-        written = 0
         for payload, cnt in m.pairs:
             digest = hashlib.sha256(payload).hexdigest()[:32]
             if cnt == 1:
@@ -178,8 +177,7 @@ def decompress(container, outdir):
             else:
                 for k in range(cnt):
                     (outdir / f"{digest}.{k}.bin").write_bytes(payload)
-            written += cnt
-        click.echo(f"wrote {written} files ({m.unique} unique)")
+        click.echo(f"wrote {m.total} files ({m.unique} unique)")
 
 
 @main.command()
@@ -189,9 +187,10 @@ def info(container):
     the state. A nested container's values are byte strings; ``keys`` names
     the key codec."""
     c = unpack(container.read_bytes())
+    codec = codec_from_blob(c.kind, c.codec_id, c.codec_blob)
     params = len(encode_uvarint(len(c.codec_blob))) + len(c.codec_blob)
     if c.kind == KIND_NESTED:
-        keys = codec_from_blob(c.kind, c.codec_id, c.codec_blob).keys
+        keys = codec.keys
         sizes = sum(len(encode_uvarint(n)) for n in c.inner_sizes)
         lines = ["kind: nested", "codec: bytes",
                  "keys: bytes" if isinstance(keys, ByteStringCodec)
@@ -199,10 +198,8 @@ def info(container):
                  f"count: {c.size}", f"pairs: {sum(c.inner_sizes)}",
                  f"params_bytes: {params}", f"sizes_bytes: {sizes}"]
     else:
-        codec = {CODEC_BYTES: "bytes", CODEC_CATEGORICAL: "categorical"}.get(
-            c.codec_id, f"unknown({c.codec_id})")
-        lines = ["kind: flat", f"codec: {codec}", f"count: {c.size}",
-                 f"params_bytes: {params}"]
+        lines = ["kind: flat", "codec: bytes" if isinstance(codec, ByteStringCodec)
+                 else "codec: categorical", f"count: {c.size}", f"params_bytes: {params}"]
     lines += ["checksum_bytes: 4", f"state_bits: {len(c.state) * 8}", "checksum: ok"]
     click.echo("\n".join(lines))
 

@@ -156,6 +156,19 @@ def codec_blob(codec) -> tuple[int, bytes]:
     raise FormatError(f"cannot serialize codec {type(codec).__name__}")
 
 
+def _take(data, pos: int, n: int, what: str):
+    """The ``n`` bytes of ``data`` at ``pos`` and the position after them."""
+    end = pos + n
+    if end > len(data):
+        raise FormatError(f"truncated {what}")
+    return data[pos:end], end
+
+
+def _end(blob, pos: int) -> None:
+    if pos != len(blob):
+        raise FormatError("trailing bytes in codec parameters")
+
+
 def _categorical_from_blob(blob: bytes, pos: int) -> QuantizedCategorical:
     """The categorical whose parameters fill ``blob`` from ``pos`` to its end."""
     precision, pos = decode_uvarint(blob, pos)
@@ -163,16 +176,13 @@ def _categorical_from_blob(blob: bytes, pos: int) -> QuantizedCategorical:
     alphabet = []
     for _ in range(n):
         ln, pos = decode_uvarint(blob, pos)
-        if pos + ln > len(blob):
-            raise FormatError("truncated codec alphabet")
-        alphabet.append(blob[pos : pos + ln])
-        pos += ln
+        sym, pos = _take(blob, pos, ln, "codec alphabet")
+        alphabet.append(sym)
     pmf = []
     for _ in range(n):
         mass, pos = decode_uvarint(blob, pos)
         pmf.append(mass)
-    if pos != len(blob):
-        raise FormatError("trailing bytes in codec parameters")
+    _end(blob, pos)
     codec = QuantizedCategorical(alphabet, pmf)
     if codec.precision != precision:
         raise FormatError("codec masses do not sum to the stated precision")
@@ -185,8 +195,7 @@ def codec_from_blob(kind: int, codec_id: int, blob: bytes):
     try:
         if codec_id == CODEC_BYTES:
             max_len, pos = decode_uvarint(blob)
-            if pos != len(blob):
-                raise FormatError("trailing bytes in codec parameters")
+            _end(blob, pos)
             return PairCodec(max_len) if kind == KIND_NESTED else ByteStringCodec(max_len)
         if codec_id == CODEC_CATEGORICAL:
             if kind == KIND_NESTED:  # the values' max_len, then the keys
@@ -201,59 +210,38 @@ def codec_from_blob(kind: int, codec_id: int, blob: bytes):
 def pack(c: Container) -> bytes:
     if c.kind not in (KIND_FLAT, KIND_NESTED):
         raise FormatError(f"unknown payload kind {c.kind}")
-    if c.kind == KIND_NESTED and len(c.inner_sizes) != c.size:
+    if len(c.inner_sizes) != (c.size if c.kind == KIND_NESTED else 0):
         raise FormatError("inner size list does not match the record count")
-    body = bytearray()
-    body.append(VERSION)
-    body.append(c.codec_id)
-    body += encode_uvarint(len(c.codec_blob))
-    body += c.codec_blob
-    body.append(c.kind)
-    body += encode_uvarint(c.size)
-    if c.kind == KIND_NESTED:
-        for s in c.inner_sizes:
-            body += encode_uvarint(s)
+    # the sizes as one part: bytes.join holds an 80-byte buffer view per part
+    body = b"".join((bytes((VERSION, c.codec_id)), encode_uvarint(len(c.codec_blob)),
+                     c.codec_blob, bytes((c.kind,)), encode_uvarint(c.size),
+                     bytes(b for n in c.inner_sizes for b in encode_uvarint(n))))
     crc = crc32c(c.state, crc32c(body))
-    return MAGIC + bytes(body) + crc.to_bytes(4, "big") + c.state
+    return MAGIC + body + crc.to_bytes(4, "big") + c.state
 
 
 def unpack(data: bytes) -> Container:
     if len(data) < 4 or data[:4] != MAGIC:
         raise FormatError("bad magic; not a container")
-    pos = 4
-    if pos >= len(data):
-        raise FormatError("truncated header")
-    version = data[pos]
-    pos += 1
+    (version,), pos = _take(data, 4, 1, "header")
     if version != VERSION:
         raise FormatError(f"container version {version} is not supported; "
                           f"this reader reads version {VERSION}")
-    if pos >= len(data):
-        raise FormatError("truncated header")
-    codec_id = data[pos]
-    pos += 1
+    (codec_id,), pos = _take(data, pos, 1, "header")
     blob_len, pos = decode_uvarint(data, pos)
-    if pos + blob_len > len(data):
-        raise FormatError("truncated codec parameters")
-    blob = data[pos : pos + blob_len]
-    pos += blob_len
-    if pos >= len(data):
-        raise FormatError("truncated header")
-    kind = data[pos]
-    pos += 1
+    blob, pos = _take(data, pos, blob_len, "codec parameters")
+    (kind,), pos = _take(data, pos, 1, "header")
     if kind not in (KIND_FLAT, KIND_NESTED):
         raise FormatError(f"unknown payload kind {kind}")
     size, pos = decode_uvarint(data, pos)
     inner_sizes = []
-    if kind == KIND_NESTED:
-        for _ in range(size):
-            s, pos = decode_uvarint(data, pos)
-            inner_sizes.append(s)
-    if pos + 4 > len(data):
-        raise FormatError("truncated checksum")
-    stored = int.from_bytes(data[pos : pos + 4], "big")
-    state = data[pos + 4 :]
-    actual = crc32c(state, crc32c(data[4:pos]))
+    for _ in range(size if kind == KIND_NESTED else 0):
+        s, pos = decode_uvarint(data, pos)
+        inner_sizes.append(s)
+    stored, pos = _take(data, pos, 4, "checksum")
+    state = data[pos:]
+    actual = crc32c(state, crc32c(data[4 : pos - 4]))
+    stored = int.from_bytes(stored, "big")
     if stored != actual:
         raise FormatError(f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
     return Container(kind=kind, codec_id=codec_id, codec_blob=bytes(blob),

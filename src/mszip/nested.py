@@ -127,11 +127,10 @@ class Record:
         return f"Record({list(self.pairs.pairs)!r})"
 
 
-def _record_key(item) -> bytes:
-    rec = item[0]
-    if not isinstance(rec, Record):
-        raise ContractError(f"outer symbols must be Records, got {rec!r}")
-    return rec.key
+def _check_records(records):
+    for rec in records:
+        if not isinstance(rec, Record):
+            raise ContractError(f"outer symbols must be Records, got {rec!r}")
 
 
 class NestedMultiset:
@@ -140,16 +139,22 @@ class NestedMultiset:
     __slots__ = ("records",)
 
     def __init__(self, records: Multiset):
-        for sym, _ in records.pairs:
-            if not isinstance(sym, Record):
-                raise ContractError(f"outer symbols must be Records, got {sym!r}")
+        if not isinstance(records, Multiset):
+            raise ContractError(f"records must be a Multiset, got {type(records).__name__}")
+        _check_records(map(itemgetter(0), records.pairs))
         self.records = records
 
     @classmethod
     def from_records(cls, records) -> "NestedMultiset":
-        counts = Counter(iter(records))
+        try:
+            records = list(records)
+        except TypeError:
+            raise ContractError(
+                f"records must be an iterable of Records, got {type(records).__name__}") from None
+        _check_records(records)  # before Counter can raise TypeError
+        counts = Counter(records)
         # Records order by their keys; sorting by key compares bytes directly.
-        pairs = tuple(sorted(counts.items(), key=_record_key))
+        pairs = tuple(sorted(counts.items(), key=lambda item: item[0].key))
         return cls(Multiset._canonical(pairs, counts.total()))
 
     @property

@@ -19,8 +19,8 @@ import math
 import struct
 from array import array
 from bisect import bisect_right
-from itertools import repeat
-from operator import index as _int
+from itertools import accumulate, islice, repeat
+from operator import index as _int, lt
 
 from .ans import L, CodeTriple, decode_advance, decode_peek, encode_op
 from .errors import ContractError
@@ -107,21 +107,17 @@ class QuantizedCategorical:
             raise ContractError("all masses must be >= 1")
         precision = sum(pmf)
         _check_pow2(precision)
-        cdf = []
-        acc = 0
-        for p in pmf:
-            cdf.append(acc)
-            acc += p
-        index = {}
-        prev = None
-        for k, sym in enumerate(alphabet):
-            if k and not prev < sym:
-                raise ContractError("alphabet must be strictly increasing")
-            prev = sym
-            index[sym] = k
+        try:  # islices, not slices: no copies at the peak of a large build
+            increasing = all(map(lt, alphabet, islice(alphabet, 1, None)))
+            index = dict(zip(alphabet, range(len(alphabet))))
+        except TypeError as e:
+            raise ContractError(
+                f"alphabet symbols must be hashable and comparable: {e}") from None
+        if not increasing:
+            raise ContractError("alphabet must be strictly increasing")
         self.alphabet = alphabet
         self.pmf = pmf
-        self.cdf = cdf
+        self.cdf = cdf = list(accumulate(islice(pmf, len(pmf) - 1), initial=0))
         self.precision = precision
         self._index = index
         self._triples = list(zip(cdf, pmf, repeat(precision)))

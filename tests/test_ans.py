@@ -101,6 +101,8 @@ class TestStateBasics:
         s = (L + 5, stack)
         data = serialize(s)
         assert len(data) == 8 + 4 * len(words)
+        # words bottom to top, 32-bit big-endian, then the 64-bit head
+        assert data == b"".join(w.to_bytes(4, "big") for w in words) + s[0].to_bytes(8, "big")
         back = deserialize(data)
         assert serialize(back) == data[12:]  # less the three bottom zero words
         assert length_bits(back) == 64 + 32 * (len(words) - 3)

@@ -19,7 +19,7 @@ from helpers import pair_counts_reference
 from mszip import (ByteStringCodec, Container, Multiset, NestedMultiset,
                    PairCodec, QuantizedCategorical, Record, codec_blob,
                    encode_multiset, ingest_json, ingest_json_records,
-                   nested_savings_bound, pack, serialize, unpack)
+                   nested_savings_bound, pack, serialize, state_new, unpack)
 from mszip.cli import ideal_bits, main, pair_codec, pair_counts
 from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT
 from mszip.varint import encode_uvarint
@@ -36,6 +36,12 @@ def empty_container() -> bytes:
     return pack(Container(
         kind=KIND_FLAT, codec_id=cid, codec_blob=blob, size=0,
         inner_sizes=(), state=serialize(encode_multiset(Multiset(), codec))))
+
+
+def unknown_codec_container() -> bytes:
+    """A flat container with codec id 77 and a valid checksum."""
+    return pack(Container(kind=KIND_FLAT, codec_id=77, codec_blob=b"", size=0,
+                          inner_sizes=(), state=serialize(state_new())))
 
 
 def make_inputs(tmp_path, contents):
@@ -347,8 +353,13 @@ class TestErrorBoundary:
         (["compress", "-o", "adir"], b"payload", "[Errno 21] Is a directory"),
         (["decompress", "-o", "plain/sub"], empty_container(),
          "[Errno 20] Not a directory"),
+        # info names the codec as decompress rebuilds it, so both refuse it
+        (["info"], unknown_codec_container(), "unknown codec id 77"),
+        (["decompress", "-o", "restored"], unknown_codec_container(),
+         "unknown codec id 77"),
     ], ids=["info", "decompress", "nested-not-array", "nested-surrogate",
-            "compress-missing-dir", "compress-onto-dir", "decompress-under-file"])
+            "compress-missing-dir", "compress-onto-dir", "decompress-under-file",
+            "info-unknown-codec", "decompress-unknown-codec"])
     def test_errors_exit_1_with_one_line(self, runner, tmp_path, monkeypatch,
                                          command, content, fragment):
         monkeypatch.chdir(tmp_path)

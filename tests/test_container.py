@@ -142,6 +142,17 @@ class TestPackUnpack:
         assert isinstance(codec_from_blob(c.kind, c.codec_id, c.codec_blob),
                           PairCodec)
 
+    def test_inner_sizes_at_every_varint_width(self):
+        # the sizes field is the sizes' varints back to back, before the crc
+        sizes = (0, 127, 128, 16383, 16384, 1 << 35)
+        cid, blob = codec_blob(PairCodec(15))
+        state = serialize(encode_multiset(Multiset(), ByteStringCodec(1)))
+        data = pack(Container(kind=KIND_NESTED, codec_id=cid, codec_blob=blob,
+                              size=len(sizes), inner_sizes=sizes, state=state))
+        field = b"".join(map(encode_uvarint, sizes))
+        assert data[-len(state) - 4 - len(field) : -len(state) - 4] == field
+        assert unpack(data).inner_sizes == sizes
+
     def test_nested_keyed_roundtrip(self):
         nm = NestedMultiset.from_records(
             [Record([(b"k", b"v"), (b"id", b"7")]), Record([(b"k", b"w")])] * 2)
@@ -163,6 +174,12 @@ class TestPackUnpack:
         with pytest.raises(FormatError):
             pack(Container(kind=KIND_NESTED, codec_id=cid, codec_blob=blob,
                            size=2, inner_sizes=(1,), state=b"\x00" * 8))
+
+    def test_flat_container_carries_no_inner_sizes(self):
+        cid, blob = codec_blob(ByteStringCodec(15))
+        with pytest.raises(FormatError, match="inner size list does not match"):
+            pack(Container(kind=KIND_FLAT, codec_id=cid, codec_blob=blob,
+                           size=2, inner_sizes=(5, 6), state=b"\x00" * 8))
 
 
 class TestCorruption:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -106,6 +107,16 @@ class TestRecord:
             NestedMultiset(Multiset([(1, 1)]))
         with pytest.raises(ContractError, match="outer symbols must be Records, got 1"):
             NestedMultiset.from_records([rec(("a", "1")), 1])
+
+    @pytest.mark.parametrize("build, fragment", [
+        (lambda: NestedMultiset.from_records([[1]]), "outer symbols must be Records, got [1]"),
+        (lambda: NestedMultiset.from_records(5),
+         "records must be an iterable of Records, got int"),
+        (lambda: NestedMultiset(5), "records must be a Multiset, got int"),
+    ], ids=["unhashable-record", "not-iterable", "not-a-multiset"])
+    def test_bad_input_names_the_fault(self, build, fragment):
+        with pytest.raises(ContractError, match=re.escape(fragment)):
+            build()
 
     def test_pair_bits(self):
         # two 4-bit length codes at max_len 15 and 8 bits per payload byte

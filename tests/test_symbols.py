@@ -81,6 +81,16 @@ class TestCategorical:
         with pytest.raises(ContractError):
             QuantizedCategorical([1, 0], [2, 2])
 
+    @pytest.mark.parametrize("alphabet, fragment", [
+        ([1, "a"], "'<' not supported"),
+        ([[1], [2]], "unhashable type: 'list'"),
+        ([bytearray(b"a"), bytearray(b"b")], "unhashable type: 'bytearray'"),
+    ], ids=["incomparable", "list", "bytearray"])
+    def test_bad_alphabet_names_the_fault(self, alphabet, fragment):
+        with pytest.raises(ContractError, match=re.escape(
+                f"alphabet symbols must be hashable and comparable: {fragment}")):
+            QuantizedCategorical(alphabet, [1, 1])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError, match="lengths differ"):
             QuantizedCategorical([1, 2], [2])
