@@ -36,7 +36,7 @@ a mismatched or truncated container fails loudly before any decode starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractError, FormatError
 from .nested import PairCodec
@@ -118,8 +118,7 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     return crc
 
 
-@dataclass(frozen=True)
-class Container:
+class Container(NamedTuple):
     kind: int
     codec_id: int
     codec_blob: bytes
@@ -210,6 +209,13 @@ def codec_from_blob(kind: int, codec_id: int, blob: bytes):
 def pack(c: Container) -> bytes:
     if c.kind not in (KIND_FLAT, KIND_NESTED):
         raise FormatError(f"unknown payload kind {c.kind}")
+    if not (isinstance(c.codec_id, int) and 0 <= c.codec_id <= 255):
+        raise ContractError(f"codec_id must be an integer in [0, 255], got {c.codec_id!r}")
+    if not isinstance(c.size, int):
+        raise ContractError(f"size must be an integer, got {type(c.size).__name__}")
+    for name, value in (("codec_blob", c.codec_blob), ("state", c.state)):
+        if not isinstance(value, (bytes, bytearray, memoryview)):
+            raise ContractError(f"{name} must be bytes, got {type(value).__name__}")
     if len(c.inner_sizes) != (c.size if c.kind == KIND_NESTED else 0):
         raise FormatError("inner size list does not match the record count")
     # the sizes as one part: bytes.join holds an 80-byte buffer view per part

@@ -31,8 +31,8 @@ tree total will exceed ``L``; the walks give ``0 <= c < c + p <= n``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import index as _int
+from typing import NamedTuple
 
 from .ans import (_HALF, WORD_BITS, B, L, decode_advance, encode_op, length_bits,
                   state_new)
@@ -147,8 +147,7 @@ def info_content(m: Multiset, codec) -> float:
     return sym_bits - permutation_bits(m)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Measured compression accounting for one multiset and codec."""
 
     compressed_bits: int

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter, itemgetter
@@ -206,7 +205,6 @@ class PairCodec:
         return self.keys.bits(pair[0]) + self.strings.bits(pair[1])
 
 
-@dataclass
 class _RecordCodec:
     """A record, named by its ``key``, coded as the sampled multiset of its
     pairs. The pair counts go to the header: encode appends them to
@@ -215,9 +213,12 @@ class _RecordCodec:
     The outer table holds keys, so it compares bytes, not ``Record``s;
     ``records`` maps each key to its record."""
 
-    pair_codec: PairCodec
-    sizes: object
-    records: dict = field(default_factory=dict)
+    __slots__ = ("pair_codec", "sizes", "records")
+
+    def __init__(self, pair_codec, sizes, records):
+        self.pair_codec = pair_codec
+        self.sizes = sizes
+        self.records = records
 
     def encode(self, s, key):
         pairs = self.records[key].pairs
@@ -251,7 +252,7 @@ def encode_nested(nm: NestedMultiset, pair_codec) -> tuple[tuple, list[int]]:
 def decode_nested(s: tuple, inner_sizes, pair_codec) -> NestedMultiset:
     """Inverse of ``encode_nested``, with ``inner_sizes`` in the order
     ``encode_nested`` returned them; records decode last first."""
-    codec = _RecordCodec(pair_codec, reversed(inner_sizes))
+    codec = _RecordCodec(pair_codec, reversed(inner_sizes), {})
     count = len(inner_sizes)
     keys = decode_multiset(s, count, codec, _empty_table(count))
     # keys order as their records do

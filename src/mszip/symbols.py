@@ -19,8 +19,8 @@ import math
 import struct
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice, repeat
-from operator import index as _int, lt
+from itertools import accumulate, compress, count, islice, repeat
+from operator import index as _int, lt, sub
 
 from .ans import L, CodeTriple, decode_advance, decode_peek, encode_op
 from .errors import ContractError
@@ -35,29 +35,37 @@ def quantize_pmf(weights, precision) -> list[int]:
     most over-served entry above mass 1 when removing. Ties go to the lower
     index. Deterministic for a given input.
     """
-    precision = _int(precision)
-    weights = [float(w) for w in weights]
+    precision = _as_int(precision, "precision")
+    try:
+        weights = list(map(float, weights))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ContractError(f"weights must be real numbers: {e}") from None
     n = len(weights)
     if n == 0:
         raise ContractError("need at least one weight")
-    if any(w < 0 or not math.isfinite(w) for w in weights):
+    if min(weights) < 0 or not all(map(math.isfinite, weights)):
         raise ContractError("weights must be finite and nonnegative")
-    total = math.fsum(weights)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:
+        raise ContractError("weights sum past the largest float") from None
     if total <= 0:
         raise ContractError("at least one weight must be positive")
     if n > precision:
         raise ContractError(f"{n} symbols need precision >= {n}, got {precision}")
     shares = [w / total * precision for w in weights]
-    masses = [max(1, int(sh)) for sh in shares]
+    masses = [int(sh) or 1 for sh in shares]  # max(1, floor): shares are >= 0
     residue = precision - sum(masses)
     if residue > 0:
-        gaps = [m - sh for m, sh in zip(masses, shares)]
+        gaps = list(map(sub, masses, shares))
         # A stable sort of ascending indices leaves ties in index order.
         order = sorted(range(n), key=gaps.__getitem__)
         for k in order[:residue]:
             masses[k] += 1
     elif residue < 0:
-        heap = [(shares[k] - masses[k], k) for k in range(n) if masses[k] > 1]
+        # (share - mass, k) for every mass above 1
+        heap = list(compress(zip(map(sub, shares, masses), count()),
+                             map(lt, repeat(1), masses)))
         heapq.heapify(heap)
         while residue:  # masses sum past precision >= n, so some mass is > 1
             _, k = heapq.heappop(heap)
@@ -66,6 +74,14 @@ def quantize_pmf(weights, precision) -> list[int]:
             if masses[k] > 1:
                 heapq.heappush(heap, (shares[k] - masses[k], k))
     return masses
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return _int(value)
+    except TypeError:
+        raise ContractError(
+            f"{what} must be an integer, got {type(value).__name__}") from None
 
 
 def _check_pow2(precision):
@@ -98,12 +114,15 @@ class QuantizedCategorical:
 
     def __init__(self, alphabet, pmf):
         alphabet = list(alphabet)
-        pmf = [_int(p) for p in pmf]
+        try:
+            pmf = list(map(_int, pmf))
+        except TypeError as e:
+            raise ContractError(f"masses must be integers: {e}") from None
         if len(alphabet) != len(pmf):
             raise ContractError("alphabet and pmf lengths differ")
         if not alphabet:
             raise ContractError("alphabet is empty")
-        if any(p < 1 for p in pmf):
+        if min(pmf) < 1:
             raise ContractError("all masses must be >= 1")
         precision = sum(pmf)
         _check_pow2(precision)
@@ -127,7 +146,7 @@ class QuantizedCategorical:
     @classmethod
     def from_weights(cls, alphabet, weights, precision=1 << 16):
         """Quantize real weights over a sorted alphabet at ``precision``."""
-        _check_pow2(_int(precision))
+        _check_pow2(_as_int(precision, "precision"))
         return cls(alphabet, quantize_pmf(weights, precision))
 
     def _position(self, sym) -> int:
@@ -178,7 +197,7 @@ class UniformCodec:
     __slots__ = ("size",)
 
     def __init__(self, size):
-        size = _int(size)
+        size = _as_int(size, "size")
         if not 1 <= size <= L:
             raise ContractError(f"size {size} outside [1, {L}]")
         self.size = size
@@ -244,7 +263,7 @@ class ByteStringCodec:
     __slots__ = ("max_len",)
 
     def __init__(self, max_len=255):
-        max_len = _int(max_len)
+        max_len = _as_int(max_len, "max_len")
         if max_len < 0:
             raise ContractError(f"max_len must be >= 0, got {max_len}")
         self.max_len = (1 << max_len.bit_length()) - 1

@@ -1,6 +1,8 @@
 """Shared test utilities: independent oracles and data builders."""
 
+import heapq
 import json
+import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -220,6 +222,34 @@ def byte_string_decode_chain(codec, state):
         state, c = UniformCodec(1 << 8 * (k % 3)).decode(state)
         out += c.to_bytes(k % 3, "little")
     return state, bytes(out)
+
+
+def quantize_pmf_reference(weights, precision) -> list[int]:
+    """``quantize_pmf`` as written before its passes moved to C-level
+    builtins: one Python step per weight. The build must match it mass for
+    mass, as the same float operations in the same order."""
+    precision = _int(precision)
+    weights = [float(w) for w in weights]
+    n = len(weights)
+    total = math.fsum(weights)
+    shares = [w / total * precision for w in weights]
+    masses = [max(1, int(sh)) for sh in shares]
+    residue = precision - sum(masses)
+    if residue > 0:
+        gaps = [m - sh for m, sh in zip(masses, shares)]
+        order = sorted(range(n), key=gaps.__getitem__)
+        for k in order[:residue]:
+            masses[k] += 1
+    elif residue < 0:
+        heap = [(shares[k] - masses[k], k) for k in range(n) if masses[k] > 1]
+        heapq.heapify(heap)
+        while residue:
+            _, k = heapq.heappop(heap)
+            masses[k] -= 1
+            residue += 1
+            if masses[k] > 1:
+                heapq.heappush(heap, (shares[k] - masses[k], k))
+    return masses
 
 
 def categorical_triple(codec, sym) -> CodeTriple:

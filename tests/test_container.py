@@ -1,14 +1,13 @@
 """Container format tests: checksum vectors, round trips, corruption."""
 
-import dataclasses
 import random
 import re
 
 import pytest
 
 from helpers import crc32c_reference
-from mszip import (ByteStringCodec, Container, FormatError, Multiset, MszipError,
-                   NestedMultiset, PairCodec, QuantizedCategorical, Record,
+from mszip import (ByteStringCodec, Container, ContractError, FormatError, Multiset,
+                   MszipError, NestedMultiset, PairCodec, QuantizedCategorical, Record,
                    UniformCodec, codec_blob, codec_from_blob, crc32c,
                    decode_multiset, decode_nested, deserialize, encode_multiset,
                    encode_nested, pack, serialize, unpack)
@@ -175,6 +174,22 @@ class TestPackUnpack:
             pack(Container(kind=KIND_NESTED, codec_id=cid, codec_blob=blob,
                            size=2, inner_sizes=(1,), state=b"\x00" * 8))
 
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("codec_id", 300, "codec_id must be an integer in [0, 255], got 300"),
+        ("codec_id", -1, "codec_id must be an integer in [0, 255], got -1"),
+        ("codec_id", "a", "codec_id must be an integer in [0, 255], got 'a'"),
+        ("size", 2.0, "size must be an integer, got float"),
+        ("codec_blob", "\x0f", "codec_blob must be bytes, got str"),
+        ("state", "\x00", "state must be bytes, got str"),
+    ], ids=["codec-id-300", "codec-id-negative", "codec-id-str", "size-float",
+            "blob-str", "state-str"])
+    def test_pack_names_a_bad_field(self, field, value, fragment):
+        cid, blob = codec_blob(ByteStringCodec(15))
+        c = Container(kind=KIND_FLAT, codec_id=cid, codec_blob=blob, size=0,
+                      inner_sizes=(), state=b"\x00" * 8)
+        with pytest.raises(ContractError, match=re.escape(fragment)):
+            pack(c._replace(**{field: value}))
+
     def test_flat_container_carries_no_inner_sizes(self):
         cid, blob = codec_blob(ByteStringCodec(15))
         with pytest.raises(FormatError, match="inner size list does not match"):
@@ -309,7 +324,7 @@ class TestStrictDecode:
         for bit in range(8 * len(c.state)):
             state = bytearray(c.state)
             state[bit // 8] ^= 1 << (bit % 8)
-            forged = pack(dataclasses.replace(c, state=bytes(state)))
+            forged = pack(c._replace(state=bytes(state)))
             try:
                 back = decode(deserialize(bytes(state)), c, codec)
             except MszipError:

@@ -1,6 +1,10 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and importing
+the package leaves out ``dataclasses`` and ``inspect``, which none uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,14 @@ def unused_imports(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    which a fresh ``import mszip`` would load for no caller."""
+    code = ("import sys; bare = set(sys.modules); import mszip; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -6,12 +6,12 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (byte_string_decode_chain, byte_string_encode_chain,
                      categorical_decode_reference, categorical_encode_reference,
-                     categorical_triple, fractional_bits)
+                     categorical_triple, fractional_bits, quantize_pmf_reference)
 from mszip import (B, ByteStringCodec, CodeTriple, ContractError, Multiset,
                    PairCodec, QuantizedCategorical, UniformCodec, ans, decode_peek,
                    deserialize, info_content, quantize_pmf, serialize, state_new,
@@ -63,6 +63,53 @@ class TestQuantizePmf:
             quantize_pmf([0.0, 0.0], 8)
         with pytest.raises(ContractError):
             quantize_pmf([1.0, -0.5], 8)
+
+    @pytest.mark.parametrize("call, fragment", [
+        (lambda: quantize_pmf([1e308, 1e308], 16), "weights sum past the largest float"),
+        (lambda: quantize_pmf(["x"], 8), "weights must be real numbers"),
+        (lambda: quantize_pmf([1, None], 8), "weights must be real numbers"),
+        (lambda: quantize_pmf([1, 1], 8.0), "precision must be an integer, got float"),
+        (lambda: QuantizedCategorical(["a", "b"], [1.5, 0.5]), "masses must be integers"),
+        (lambda: QuantizedCategorical.from_weights([0, 1], [1, 1], 8.0),
+         "precision must be an integer, got float"),
+    ], ids=["fsum-overflow", "str-weight", "none-weight", "float-precision",
+            "float-masses", "from-weights-float-precision"])
+    def test_bad_input_names_the_fault(self, call, fragment):
+        with pytest.raises(ContractError, match=fragment):
+            call()
+
+    @seed(20261021)
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308),
+                              st.sampled_from([0.5, 1.0, 3.0]), st.floats(0, 1e6)),
+                    min_size=1, max_size=60),
+           st.integers(6, 16))
+    @example([1.0, 1.0, 1.0], 3)  # residue > 0, tied gaps
+    @example([0.9, 0.05, 0.05], 3)  # residue < 0
+    def test_masses_match_the_reference(self, weights, log_precision):
+        precision = max(1 << log_precision, len(weights))
+        if not any(weights):
+            weights[0] = 1.0
+        assert quantize_pmf(weights, precision) == quantize_pmf_reference(weights, precision)
+
+    @pytest.mark.parametrize("alpha, sign", [(lambda k: k, 1), (lambda k: 0.05, -1)],
+                             ids=["alpha-k", "alpha-0.05"])
+    def test_dirichlet_build_matches_the_reference(self, alpha, sign):
+        n, precision = 1 << 14, 1 << 16
+        rng = random.Random(14)
+        gammas = [rng.gammavariate(alpha(k), 1.0) for k in range(1, n + 1)]
+        scale = math.fsum(gammas)
+        weights = [g / scale for g in gammas]  # a Dirichlet(alpha) draw
+        # the residue's sign picks the pass: raise masses, or lower them
+        total = math.fsum(weights)
+        floors = [max(1, int(w / total * precision)) for w in weights]
+        assert (precision - sum(floors)) * sign > 0
+        masses = quantize_pmf_reference(weights, precision)
+        codec = QuantizedCategorical.from_weights(range(n), weights, precision)
+        cdf = list(itertools.accumulate(masses[:-1], initial=0))
+        assert codec.pmf == masses
+        assert codec.cdf == cdf
+        assert codec._triples == [(c, p, precision) for c, p in zip(cdf, masses)]
 
 
 class TestCategorical:
@@ -214,6 +261,8 @@ class TestUniformCodec:
             UniformCodec(0)
         with pytest.raises(ContractError, match=re.escape("symbol 4 outside [0, 4)")):
             UniformCodec(4).encode(state_new(), 4)
+        with pytest.raises(ContractError, match="size must be an integer, got float"):
+            UniformCodec(4.0)
 
 
 class TestByteStringCodec:
@@ -227,6 +276,8 @@ class TestByteStringCodec:
             ByteStringCodec(1 << 31)
         with pytest.raises(ContractError, match="max_len must be >= 0"):
             ByteStringCodec(-1)
+        with pytest.raises(ContractError, match="max_len must be an integer, got str"):
+            ByteStringCodec("15")
 
     def test_roundtrip(self):
         codec = ByteStringCodec(255)
