@@ -35,6 +35,7 @@ from contextlib import contextmanager
 from statistics import median
 
 from .ans import fractional_bits, length_bits, state_new
+from .cli import pair_codec, pair_counts
 from .errors import ContractError
 from .mscodec import encode_sequence, info_content, sample_decode, sample_encode
 from .multiset import FreqTree, Multiset, build_balanced
@@ -202,7 +203,6 @@ def json_rows(text, repetitions: int = 1, prefixes=None) -> list[dict]:
     words; ``savings_bits`` is the information content (``fractional_bits``)
     of the order-keeping state less that of the written one, which the word
     rounding of the two sizes cannot push past ``bound_bits``."""
-    from .cli import pair_codec, pair_counts  # here, so that click loads late
     if repetitions < 1:
         raise ContractError(f"repetitions must be >= 1, got {repetitions}")
     records = ingest_json_records(text)

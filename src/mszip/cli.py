@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import math
+import os
+import stat
+import sys
 from collections import Counter
 from operator import itemgetter
 from pathlib import Path
-
-import click
 
 from .ans import deserialize, serialize
 from .container import (KIND_FLAT, KIND_NESTED, Container, codec_blob, codec_from_blob,
@@ -24,37 +26,69 @@ from .symbols import ByteStringCodec, QuantizedCategorical
 from .varint import encode_uvarint
 
 
-class _Main(click.Group):
-    """The one error boundary: any ``MszipError`` or ``OSError`` becomes
-    ``Error: <message>`` with exit code 1."""
+class UsageError(Exception):
+    """A command line that the parser or a command refuses: exit code 2.
+    ``parser`` is the parser that refused it, when one did."""
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (MszipError, OSError) as e:
-            raise click.ClickException(str(e)) from None
+    parser = None
 
 
-@click.group(cls=_Main)
-def main():
-    """Order-invariant multiset compression."""
+class _HelpShown(Exception):
+    """``--help`` printed the help: exit code 0."""
 
 
-def _int_list(_ctx, _param, value):
-    if value is None:
-        return None
+class _Parser(argparse.ArgumentParser):
+    """Raises where ``argparse`` would end the process, so that in-process
+    callers see every outcome."""
+
+    def error(self, message):
+        e = UsageError(message)
+        e.parser = self
+        raise e
+
+    def exit(self, status=0, message=None):  # only --help gets here
+        raise _HelpShown
+
+
+def _file(arg: str) -> Path:
+    """An argument that names an existing file (one ``stat``)."""
+    try:
+        st = os.stat(arg)
+    except OSError:
+        raise argparse.ArgumentTypeError(f"File {arg!r} does not exist.") from None
+    if stat.S_ISDIR(st.st_mode):
+        raise argparse.ArgumentTypeError(f"File {arg!r} is a directory.")
+    return Path(arg)
+
+
+def _directory(arg: str) -> Path:
+    """An argument that names a directory, or nothing yet."""
+    try:
+        st = os.stat(arg)
+    except OSError:
+        return Path(arg)
+    if stat.S_ISREG(st.st_mode):
+        raise argparse.ArgumentTypeError(f"Directory {arg!r} is a file.")
+    return Path(arg)
+
+
+def _precision(arg: str) -> int:
+    if not (arg.isdecimal() and int(arg) <= 31):
+        raise argparse.ArgumentTypeError(f"{arg!r} is not in the range 0<=x<=31.")
+    return int(arg)
+
+
+def _int_list(value: str) -> tuple:
     try:
         values = tuple(int(v) for v in value.split(",") if v)
     except ValueError:
         values = ()
     if not values:
-        raise click.BadParameter("expected a comma-separated list of integers")
+        raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
     return values
 
 
 KEYS_PRECISION = 1 << 16
-# every argument that names an existing file
-_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
 
 
 def pair_counts(nm: NestedMultiset) -> tuple[Counter, Counter]:
@@ -88,17 +122,6 @@ def pair_codec(keys: Counter, value_lengths: Counter) -> PairCodec:
     return min(candidates, key=lambda c: ideal_bits(c, keys, value_lengths))
 
 
-@main.command()
-@click.argument("inputs", nargs=-1, required=True, type=_FILE)
-@click.option("-o", "--output", required=True, type=click.Path(path_type=Path),
-              help="Container file to write.")
-@click.option("--codec", "codec_name", type=click.Choice(["bytes", "categorical"]),
-              default="bytes", show_default=True)
-@click.option("--precision", type=click.IntRange(0, 31), default=16,
-              show_default=True,
-              help="Categorical precision exponent k (masses sum to 2^k).")
-@click.option("--nested", is_flag=True,
-              help="Treat the single input as a JSON array of flat objects.")
 def compress(inputs, output, codec_name, precision, nested):
     """Compress input files (one symbol each), or one JSON file with --nested.
 
@@ -108,9 +131,9 @@ def compress(inputs, output, codec_name, precision, nested):
     """
     if nested:
         if len(inputs) != 1:
-            raise click.UsageError("--nested takes exactly one JSON input file")
+            raise UsageError("--nested takes exactly one JSON input file")
         if codec_name != "bytes":
-            raise click.UsageError("--nested requires the bytes codec")
+            raise UsageError("--nested requires the bytes codec")
         records = ingest_json_records(inputs[0].read_bytes())
         nm = NestedMultiset.from_records(records)
         codec = pair_codec(*pair_counts(nm))
@@ -144,14 +167,9 @@ def compress(inputs, output, codec_name, precision, nested):
                           state=state_bytes))
     output.write_bytes(data)  # before any figure, so a failed write prints none
     report.append(f"container_bytes: {len(data)}")
-    click.echo("\n".join(report))
+    print("\n".join(report))
 
 
-@main.command()
-@click.argument("container", type=_FILE)
-@click.option("-o", "--outdir", required=True, type=click.Path(file_okay=False,
-                                                               path_type=Path),
-              help="Directory for the reconstructed symbols.")
 def decompress(container, outdir):
     """Rebuild the multiset from a container.
 
@@ -166,7 +184,7 @@ def decompress(container, outdir):
         nm = decode_nested(state, c.inner_sizes, codec)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "records.json").write_text(canonical_json(nm))
-        click.echo(f"wrote records.json ({nm.outer_size} records)")
+        print(f"wrote records.json ({nm.outer_size} records)")
     else:
         m = decode_multiset(state, c.size, codec)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -177,11 +195,9 @@ def decompress(container, outdir):
             else:
                 for k in range(cnt):
                     (outdir / f"{digest}.{k}.bin").write_bytes(payload)
-        click.echo(f"wrote {m.total} files ({m.unique} unique)")
+        print(f"wrote {m.total} files ({m.unique} unique)")
 
 
-@main.command()
-@click.argument("container", type=_FILE)
 def info(container):
     """Print a container's header, and its bytes by field, without decoding
     the state. A nested container's values are byte strings; ``keys`` names
@@ -201,36 +217,18 @@ def info(container):
         lines = ["kind: flat", "codec: bytes" if isinstance(codec, ByteStringCodec)
                  else "codec: categorical", f"count: {c.size}", f"params_bytes: {params}"]
     lines += ["checksum_bytes: 4", f"state_bits: {len(c.state) * 8}", "checksum: ok"]
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
-@main.command("bench-synthetic")
-@click.option("--unique", type=int, default=512, show_default=True,
-              help="Exact number of unique symbols per multiset.")
-@click.option("--sizes", callback=_int_list, default="8192", show_default=True,
-              help="Comma-separated multiset sizes.")
-@click.option("--alphabets", callback=_int_list, default="1024", show_default=True,
-              help="Comma-separated alphabet sizes.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--reps", type=int, default=1, show_default=True)
-@click.option("--csv", "csv_path", type=click.Path(path_type=Path), default=None,
-              help="Write CSV here instead of stdout.")
 def bench_synthetic(unique, sizes, alphabets, seed, reps, csv_path):
     """Rate and timing sweep over synthetic Dirichlet-skewed multisets."""
     from . import bench  # imported here so that ``import mszip.cli`` stays light
     rows = bench.synthetic_rows(unique, sizes, alphabets, seed, reps)
     bench.write_csv(rows, csv_path)
     if csv_path:
-        click.echo(f"wrote {len(rows)} rows to {csv_path}")
+        print(f"wrote {len(rows)} rows to {csv_path}")
 
 
-@main.command("bench-json")
-@click.argument("json_file", type=_FILE)
-@click.option("--reps", type=int, default=1, show_default=True)
-@click.option("--prefixes", callback=_int_list, default=None,
-              help="Comma-separated prefix sizes (default: doubling).")
-@click.option("--csv", "csv_path", type=click.Path(path_type=Path), default=None,
-              help="Write CSV here instead of stdout.")
 def bench_json(json_file, reps, prefixes, csv_path):
     """Nested-compression savings on growing prefixes of a JSON collection,
     each coded with the pair codec that `compress --nested` would pick."""
@@ -239,8 +237,93 @@ def bench_json(json_file, reps, prefixes, csv_path):
                            prefixes=prefixes)
     bench.write_csv(rows, csv_path)
     if csv_path:
-        click.echo(f"wrote {len(rows)} rows to {csv_path}")
+        print(f"wrote {len(rows)} rows to {csv_path}")
 
+
+def _parser() -> _Parser:
+    """The ``mszip`` parser. Each command's defaults name its function
+    (``run``) and its own parser (``parser``)."""
+    parser = _Parser(prog="mszip", description="Order-invariant multiset compression.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, name):
+        doc = "\n".join(map(str.strip, run.__doc__.splitlines()))
+        sub = commands.add_parser(name, help=doc.split(".")[0], description=doc,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+        sub.set_defaults(run=run, parser=sub)
+        return sub.add_argument
+
+    arg = command(compress, "compress")
+    arg("inputs", nargs="+", type=_file)
+    arg("-o", "--output", required=True, type=Path, help="Container file to write.")
+    arg("--codec", dest="codec_name", choices=("bytes", "categorical"), default="bytes",
+        help="[default: %(default)s]")
+    arg("--precision", type=_precision, default=16,
+        help="Categorical precision exponent k (masses sum to 2^k). "
+             "[default: %(default)s; 0<=x<=31]")
+    arg("--nested", action="store_true",
+        help="Treat the single input as a JSON array of flat objects.")
+
+    arg = command(decompress, "decompress")
+    arg("container", type=_file)
+    arg("-o", "--outdir", required=True, type=_directory,
+        help="Directory for the reconstructed symbols.")
+
+    command(info, "info")("container", type=_file)
+
+    arg = command(bench_synthetic, "bench-synthetic")
+    arg("--unique", type=int, default=512,
+        help="Exact number of unique symbols per multiset. [default: %(default)s]")
+    arg("--sizes", type=_int_list, default="8192",
+        help="Comma-separated multiset sizes. [default: %(default)s]")
+    arg("--alphabets", type=_int_list, default="1024",
+        help="Comma-separated alphabet sizes. [default: %(default)s]")
+    arg("--seed", type=int, default=0, help="[default: %(default)s]")
+    arg("--reps", type=int, default=1, help="[default: %(default)s]")
+    arg("--csv", dest="csv_path", type=Path, help="Write CSV here instead of stdout.")
+
+    arg = command(bench_json, "bench-json")
+    arg("json_file", type=_file)
+    arg("--reps", type=int, default=1, help="[default: %(default)s]")
+    arg("--prefixes", type=_int_list,
+        help="Comma-separated prefix sizes (default: doubling).")
+    arg("--csv", dest="csv_path", type=Path, help="Write CSV here instead of stdout.")
+    return parser
+
+
+def main(args=None, standalone_mode=True):
+    """Run one ``mszip`` command line, ``sys.argv[1:]`` by default.
+
+    Standalone, an ``MszipError`` or ``OSError`` prints one ``Error:`` line
+    and exits with code 1, and a usage error prints the usage and exits with
+    code 2. With ``standalone_mode=False`` every error is raised, usage
+    errors as ``UsageError``, and nothing calls ``sys.exit``. ``--help``
+    returns 0 either way.
+    """
+    parser = _parser()
+    try:
+        ns = vars(parser.parse_args(args))
+        run, parser = ns.pop("run"), ns.pop("parser")
+        run(**ns)
+    except _HelpShown:
+        return 0
+    except UsageError as e:
+        if not standalone_mode:
+            raise
+        p = e.parser or parser
+        sys.stderr.write(f"{p.format_usage()}Try '{p.prog} --help' for help.\n\n"
+                         f"Error: {e}\n")
+        sys.exit(2)
+    except (MszipError, OSError) as e:
+        if not standalone_mode:
+            raise
+        print(f"Error: {e}", file=sys.stderr)
+        sys.exit(1)
+
+
+# The in-process call, ``main.main(args, standalone_mode=False)``, has the
+# signature of click's ``Command.main``; perfbench's CLI workloads make it.
+main.main = main
 
 if __name__ == "__main__":
     main()

@@ -216,6 +216,12 @@ def pack(c: Container) -> bytes:
     for name, value in (("codec_blob", c.codec_blob), ("state", c.state)):
         if not isinstance(value, (bytes, bytearray, memoryview)):
             raise ContractError(f"{name} must be bytes, got {type(value).__name__}")
+    if not isinstance(c.inner_sizes, (tuple, list)):
+        raise ContractError("inner_sizes must be a tuple or list, "
+                            f"got {type(c.inner_sizes).__name__}")
+    bad = [type(n).__name__ for n in c.inner_sizes if not isinstance(n, int)]
+    if bad:
+        raise ContractError(f"inner_sizes must hold integers, got {bad[0]}")
     if len(c.inner_sizes) != (c.size if c.kind == KIND_NESTED else 0):
         raise FormatError("inner size list does not match the record count")
     # the sizes as one part: bytes.join holds an 80-byte buffer view per part

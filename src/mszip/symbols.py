@@ -203,7 +203,7 @@ class UniformCodec:
         self.size = size
 
     def encode(self, state, sym):
-        sym = _int(sym)
+        sym = _as_int(sym, "symbol")
         if not 0 <= sym < self.size:
             raise ContractError(f"symbol {sym} outside [0, {self.size})")
         return encode_op(state, CodeTriple(sym, 1, self.size))

@@ -1,17 +1,21 @@
 """Shared test utilities: independent oracles and data builders."""
 
 import heapq
+import io
 import json
 import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from operator import index as _int
+from typing import NamedTuple
 
 from mszip import (CodeTriple, ContractError, L, Multiset, Record, UniformCodec,
                    decode_advance, decode_peek, encode_op)
 from mszip.ans import _checked, fractional_bits  # noqa: F401
+from mszip.cli import main
 from mszip.multiset import _Node
 
 
@@ -365,3 +369,22 @@ def pair_counts_reference(nm):
             keys[k] += 1
             value_lengths[len(v)] += 1
     return keys, value_lengths
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, as written
+
+
+def invoke(args) -> CliResult:
+    """Run ``mszip`` with ``args`` in this process, standalone as from the
+    console script, through ``main.main(args)``, and capture what it prints.
+    ``SystemExit`` gives the exit code; a return, 0."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(out):
+        try:
+            main.main(args)
+            code = 0
+        except SystemExit as e:
+            code = e.code
+    return CliResult(code, out.getvalue())

@@ -8,12 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import mszip
+from helpers import invoke
 from mszip import ContractError
 from mszip.ans import WORD_BITS
-from mszip.cli import main
 from mszip.bench import (default_prefixes, gen_dirichlet_source,
                          gen_fixed_unique_multiset, json_rows, synthetic_rows)
 
@@ -149,16 +148,15 @@ class TestJsonRows:
         doc = json.dumps([{k: str(rng.randrange(50)) for k in rng.sample(keys, 3)}
                           for _ in range(60)])
         (tmp_path / "r.json").write_text(doc)
-        res = CliRunner().invoke(main, ["compress", str(tmp_path / "r.json"), "-o",
-                                        str(tmp_path / "r.msz"), "--nested"])
+        res = invoke(["compress", str(tmp_path / "r.json"), "-o",
+                      str(tmp_path / "r.msz"), "--nested"])
         assert res.exit_code == 0, res.output
         line = next(x for x in res.output.splitlines()
                     if x.startswith("compressed_bits:"))
         row = json_rows(doc, prefixes=[60])[0]
         assert row["compressed_bits"] == int(line.split(":")[1])
         # the keys repeat, so compress codes them under a categorical
-        assert "keys: categorical (4)" in CliRunner().invoke(
-            main, ["info", str(tmp_path / "r.msz")]).output
+        assert "keys: categorical (4)" in invoke(["info", str(tmp_path / "r.msz")]).output
 
     def test_import_leaves_click_out(self):
         src = Path(mszip.__file__).resolve().parents[1]

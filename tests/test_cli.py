@@ -1,4 +1,5 @@
-"""End-to-end CLI tests through click's runner."""
+"""End-to-end CLI tests through ``helpers.invoke``, which runs the command
+line in this process."""
 
 import hashlib
 import json
@@ -10,24 +11,18 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mszip
-from helpers import pair_counts_reference
-from mszip import (ByteStringCodec, Container, Multiset, NestedMultiset,
+from helpers import invoke, pair_counts_reference
+from mszip import (ByteStringCodec, Container, FormatError, Multiset, NestedMultiset,
                    PairCodec, QuantizedCategorical, Record, codec_blob,
                    encode_multiset, ingest_json, ingest_json_records,
                    nested_savings_bound, pack, serialize, state_new, unpack)
-from mszip.cli import ideal_bits, main, pair_codec, pair_counts
+from mszip.cli import UsageError, ideal_bits, main, pair_codec, pair_counts
 from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT
 from mszip.varint import encode_uvarint
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def empty_container() -> bytes:
@@ -54,91 +49,90 @@ def make_inputs(tmp_path, contents):
 
 
 class TestCompressDecompress:
-    def test_flat_roundtrip(self, runner, tmp_path):
+    def test_flat_roundtrip(self, tmp_path):
         contents = [b"alpha", b"beta", b"beta"]
         paths = make_inputs(tmp_path, contents)
         box = tmp_path / "out.msz"
-        res = runner.invoke(main, ["compress", *map(str, paths), "-o", str(box)])
+        res = invoke(["compress", *map(str, paths), "-o", str(box)])
         assert res.exit_code == 0, res.output
         assert "compressed_bits:" in res.output
         assert "savings_bits:" in res.output
 
         outdir = tmp_path / "restored"
-        res = runner.invoke(main, ["decompress", str(box), "-o", str(outdir)])
+        res = invoke(["decompress", str(box), "-o", str(outdir)])
         assert res.exit_code == 0, res.output
         restored = [p.read_bytes() for p in outdir.iterdir()]
         assert Multiset.from_iterable(restored) == Multiset.from_iterable(contents)
 
-    def test_permuted_input_order_gives_identical_containers(self, runner, tmp_path):
+    def test_permuted_input_order_gives_identical_containers(self, tmp_path):
         contents = [b"one", b"two", b"three", b"three"]
         paths = make_inputs(tmp_path, contents)
         boxes = []
         for k, order in enumerate([paths, paths[::-1], paths[2:] + paths[:2]]):
             box = tmp_path / f"c{k}.msz"
-            res = runner.invoke(main, ["compress", *map(str, order), "-o", str(box)])
+            res = invoke(["compress", *map(str, order), "-o", str(box)])
             assert res.exit_code == 0, res.output
             boxes.append(box.read_bytes())
         assert boxes[0] == boxes[1] == boxes[2]
 
-    def test_categorical_codec_roundtrip(self, runner, tmp_path):
+    def test_categorical_codec_roundtrip(self, tmp_path):
         contents = [b"x", b"y", b"x", b"x"]
         paths = make_inputs(tmp_path, contents)
         box = tmp_path / "cat.msz"
-        res = runner.invoke(main, ["compress", *map(str, paths), "-o", str(box),
-                                   "--codec", "categorical", "--precision", "8"])
+        res = invoke(["compress", *map(str, paths), "-o", str(box),
+                      "--codec", "categorical", "--precision", "8"])
         assert res.exit_code == 0, res.output
         outdir = tmp_path / "restored"
-        res = runner.invoke(main, ["decompress", str(box), "-o", str(outdir)])
+        res = invoke(["decompress", str(box), "-o", str(outdir)])
         assert res.exit_code == 0, res.output
         restored = [p.read_bytes() for p in outdir.iterdir()]
         assert Multiset.from_iterable(restored) == Multiset.from_iterable(contents)
 
     @pytest.mark.parametrize("precision", ["-1", "32"])
-    def test_precision_out_of_range_is_a_usage_error(self, runner, tmp_path,
-                                                     precision):
+    def test_precision_out_of_range_is_a_usage_error(self, tmp_path, precision):
         paths = make_inputs(tmp_path, [b"x", b"y"])
-        res = runner.invoke(main, ["compress", *map(str, paths), "-o",
-                                   str(tmp_path / "c.msz"), "--codec",
-                                   "categorical", "--precision", precision])
+        res = invoke(["compress", *map(str, paths), "-o",
+                      str(tmp_path / "c.msz"), "--codec",
+                      "categorical", "--precision", precision])
         assert res.exit_code == 2
         assert "0<=x<=31" in res.output
         assert "Traceback" not in res.output
         assert not (tmp_path / "c.msz").exists()
 
-    def test_empty_container_decompresses_to_empty_dir(self, runner, tmp_path):
+    def test_empty_container_decompresses_to_empty_dir(self, tmp_path):
         box = tmp_path / "empty.msz"
         box.write_bytes(empty_container())
         outdir = tmp_path / "nothing"
-        res = runner.invoke(main, ["decompress", str(box), "-o", str(outdir)])
+        res = invoke(["decompress", str(box), "-o", str(outdir)])
         assert res.exit_code == 0, res.output
         assert list(outdir.iterdir()) == []
 
-    def test_corrupted_container_fails_cleanly(self, runner, tmp_path):
+    def test_corrupted_container_fails_cleanly(self, tmp_path):
         paths = make_inputs(tmp_path, [b"data"])
         box = tmp_path / "c.msz"
-        runner.invoke(main, ["compress", *map(str, paths), "-o", str(box)])
+        invoke(["compress", *map(str, paths), "-o", str(box)])
         data = bytearray(box.read_bytes())
         data[-1] ^= 0xFF
         box.write_bytes(bytes(data))
         outdir = tmp_path / "restored"
-        res = runner.invoke(main, ["decompress", str(box), "-o", str(outdir)])
+        res = invoke(["decompress", str(box), "-o", str(outdir)])
         assert res.exit_code != 0
         assert "checksum" in res.output
         assert not outdir.exists()
 
 
 class TestNestedFlow:
-    def test_json_roundtrip(self, runner, tmp_path):
+    def test_json_roundtrip(self, tmp_path):
         doc = [{"user": f"u{i}", "id": str(i)} for i in range(12)]
         src = tmp_path / "records.json"
         src.write_text(json.dumps(doc))
         box = tmp_path / "n.msz"
-        res = runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
+        res = invoke(["compress", str(src), "-o", str(box), "--nested"])
         assert res.exit_code == 0, res.output
         assert "bound" in res.output
 
         outdir = tmp_path / "restored"
-        res = runner.invoke(main, ["decompress", str(box), "-o", str(outdir)])
+        res = invoke(["decompress", str(box), "-o", str(outdir)])
         assert res.exit_code == 0, res.output
         back = json.loads((outdir / "records.json").read_text())
         as_sets = lambda docs: sorted(sorted((k, str(v)) for k, v in d.items())
@@ -146,15 +140,15 @@ class TestNestedFlow:
         assert as_sets(back) == as_sets(doc)
 
     @staticmethod
-    def compress_nested(runner, tmp_path, doc):
+    def compress_nested(tmp_path, doc):
         src = tmp_path / "records.json"
         src.write_text(json.dumps(doc))
         box = tmp_path / "n.msz"
-        res = runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
+        res = invoke(["compress", str(src), "-o", str(box), "--nested"])
         assert res.exit_code == 0, res.output
         return src, box, res.output
 
-    def test_one_codec_pass_per_pair(self, runner, tmp_path, monkeypatch):
+    def test_one_codec_pass_per_pair(self, tmp_path, monkeypatch):
         def no_baseline(*_args):
             raise AssertionError("compress ran the ordered baseline")
 
@@ -168,15 +162,15 @@ class TestNestedFlow:
         monkeypatch.setattr("mszip.cli.sequence_state", no_baseline)
         monkeypatch.setattr(PairCodec, "encode", counted)
         doc = [{"user": f"u{i % 5}", "id": str(i % 3), "x": "y"} for i in range(12)]
-        src, _, _ = self.compress_nested(runner, tmp_path, doc)
+        src, _, _ = self.compress_nested(tmp_path, doc)
         pair_count = NestedMultiset.from_records(
             ingest_json_records(src.read_bytes())).pair_count
         assert pair_count == 36
         assert len(calls) == pair_count
 
-    def test_report_lines(self, runner, tmp_path):
+    def test_report_lines(self, tmp_path):
         doc = [{"user": f"u{i % 4}", "n": i % 3} for i in range(10)] + [{}]
-        src, box, output = self.compress_nested(runner, tmp_path, doc)
+        src, box, output = self.compress_nested(tmp_path, doc)
         lines = dict(line.split(": ", 1) for line in output.splitlines())
         nm = NestedMultiset.from_records(ingest_json_records(src.read_bytes()))
         assert list(lines) == ["records", "compressed_bits", "savings_bound_bits",
@@ -189,17 +183,17 @@ class TestNestedFlow:
         assert "sequence_bits:" not in output
         assert "savings_bits:" not in output
 
-    def test_nested_requires_single_input(self, runner, tmp_path):
+    def test_nested_requires_single_input(self, tmp_path):
         paths = make_inputs(tmp_path, [b"{}", b"{}"])
-        res = runner.invoke(main, ["compress", *map(str, paths), "-o",
-                                   str(tmp_path / "x.msz"), "--nested"])
+        res = invoke(["compress", *map(str, paths), "-o",
+                      str(tmp_path / "x.msz"), "--nested"])
         assert res.exit_code != 0
 
-    def test_nested_requires_the_bytes_codec(self, runner, tmp_path):
+    def test_nested_requires_the_bytes_codec(self, tmp_path):
         paths = make_inputs(tmp_path, [b"[{}]"])
-        res = runner.invoke(main, ["compress", str(paths[0]), "-o",
-                                   str(tmp_path / "x.msz"), "--nested",
-                                   "--codec", "categorical"])
+        res = invoke(["compress", str(paths[0]), "-o",
+                      str(tmp_path / "x.msz"), "--nested",
+                      "--codec", "categorical"])
         assert res.exit_code == 2
         assert "--nested requires the bytes codec" in res.output
         assert not (tmp_path / "x.msz").exists()
@@ -263,8 +257,7 @@ class TestKeyCodecChoice:
         codec = pair_codec(Counter(), Counter())
         assert codec.keys is codec.strings and codec.strings.max_len == 0
 
-    def test_shuffled_records_and_keys_give_identical_containers(self, runner,
-                                                                 tmp_path):
+    def test_shuffled_records_and_keys_give_identical_containers(self, tmp_path):
         rng = random.Random(21)
         doc = [{"user": f"u{rng.randrange(9)}", "id": str(i), "ok": i % 3 == 0}
                for i in range(40)]
@@ -276,8 +269,7 @@ class TestKeyCodecChoice:
             src = tmp_path / f"r{k}.json"
             src.write_text(json.dumps(shuffled))
             box = tmp_path / f"r{k}.msz"
-            res = runner.invoke(main, ["compress", str(src), "-o", str(box),
-                                       "--nested"])
+            res = invoke(["compress", str(src), "-o", str(box), "--nested"])
             assert res.exit_code == 0, res.output
             boxes.append(box.read_bytes())
         assert len(set(boxes)) == 1
@@ -285,11 +277,11 @@ class TestKeyCodecChoice:
 
 
 class TestInfo:
-    def test_reports_header(self, runner, tmp_path):
+    def test_reports_header(self, tmp_path):
         paths = make_inputs(tmp_path, [b"aa", b"bb"])
         box = tmp_path / "c.msz"
-        runner.invoke(main, ["compress", *map(str, paths), "-o", str(box)])
-        res = runner.invoke(main, ["info", str(box)])
+        invoke(["compress", *map(str, paths), "-o", str(box)])
+        res = invoke(["info", str(box)])
         assert res.exit_code == 0
         assert "kind: flat" in res.output
         assert "codec: bytes" in res.output
@@ -298,8 +290,8 @@ class TestInfo:
 
         src = tmp_path / "r.json"
         src.write_text(json.dumps([{"a": "1", "b": "2"}, {"a": "3"}]))
-        runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
-        res = runner.invoke(main, ["info", str(box)])
+        invoke(["compress", str(src), "-o", str(box), "--nested"])
+        res = invoke(["info", str(box)])
         assert res.exit_code == 0
         assert "kind: nested" in res.output
         assert "count: 2" in res.output
@@ -309,12 +301,12 @@ class TestInfo:
         (lambda: GOLDEN_NESTED[0], CODEC_BYTES, "bytes"),
         (lambda: GOLDEN_NESTED_HEX[0], CODEC_CATEGORICAL, "categorical (2)"),
     ], ids=["byte-keys", "keyed"])
-    def test_nested_key_codec_and_header_bytes(self, runner, tmp_path, monkeypatch,
+    def test_nested_key_codec_and_header_bytes(self, tmp_path, monkeypatch,
                                                doc, codec_id, keys):
         src = tmp_path / "r.json"
         src.write_bytes(doc())
         box = tmp_path / "n.msz"
-        runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
+        invoke(["compress", str(src), "-o", str(box), "--nested"])
         data = box.read_bytes()
         c = unpack(data)
         assert c.codec_id == codec_id
@@ -324,7 +316,7 @@ class TestInfo:
 
         for name in ("deserialize", "decode_nested", "decode_multiset"):
             monkeypatch.setattr(f"mszip.cli.{name}", refuse)
-        res = runner.invoke(main, ["info", str(box)])
+        res = invoke(["info", str(box)])
         assert res.exit_code == 0, res.output
         lines = dict(line.split(": ", 1) for line in res.output.splitlines())
         assert lines["codec"] == "bytes"
@@ -360,13 +352,13 @@ class TestErrorBoundary:
     ], ids=["info", "decompress", "nested-not-array", "nested-surrogate",
             "compress-missing-dir", "compress-onto-dir", "decompress-under-file",
             "info-unknown-codec", "decompress-unknown-codec"])
-    def test_errors_exit_1_with_one_line(self, runner, tmp_path, monkeypatch,
+    def test_errors_exit_1_with_one_line(self, tmp_path, monkeypatch,
                                          command, content, fragment):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "input").write_bytes(content)
         (tmp_path / "adir").mkdir()
         (tmp_path / "plain").write_bytes(b"")
-        res = runner.invoke(main, [*command, "input"])
+        res = invoke([*command, "input"])
         assert res.exit_code == 1
         assert f"Error: {fragment}" in res.output
         assert "Traceback" not in res.output
@@ -376,31 +368,59 @@ class TestErrorBoundary:
         assert not (tmp_path / "restored").exists()
         assert not (tmp_path / "out.msz").exists()
 
+    @pytest.mark.parametrize("command, fragment", [
+        (["info", "missing"], "File 'missing' does not exist."),
+        (["compress", "adir", "-o", "out.msz"], "File 'adir' is a directory."),
+        (["decompress", "input", "-o", "input"], "Directory 'input' is a file."),
+    ], ids=["missing-input", "directory-input", "outdir-is-a-file"])
+    def test_bad_paths_are_usage_errors(self, tmp_path, monkeypatch, command, fragment):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "input").write_bytes(empty_container())
+        (tmp_path / "adir").mkdir()
+        res = invoke(command)
+        assert res.exit_code == 2
+        assert "Error: " in res.output and fragment in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "out.msz").exists()
+
+    def test_in_process_calls_raise(self, tmp_path, capsys):
+        """``main.main(args, standalone_mode=False)`` raises every error, usage
+        errors as ``UsageError``, and ``--help`` returns 0."""
+        box = tmp_path / "bad.msz"
+        box.write_bytes(b"not a container")
+        with pytest.raises(UsageError, match="0<=x<=31"):
+            main.main(["compress", str(box), "-o", str(tmp_path / "c.msz"),
+                       "--precision", "32"], standalone_mode=False)
+        with pytest.raises(FormatError, match="bad magic"):
+            main.main(["info", str(box)], standalone_mode=False)
+        assert main.main(["info", "--help"], standalone_mode=False) == 0
+        assert "usage: mszip info" in capsys.readouterr().out
+
 
 class TestBenchCommands:
-    def test_bench_synthetic_csv(self, runner, tmp_path):
+    def test_bench_synthetic_csv(self, tmp_path):
         csv_path = tmp_path / "rows.csv"
-        res = runner.invoke(main, ["bench-synthetic", "--unique", "8", "--sizes",
-                                   "64", "--alphabets", "32", "--reps", "1",
-                                   "--csv", str(csv_path)])
+        res = invoke(["bench-synthetic", "--unique", "8", "--sizes",
+                      "64", "--alphabets", "32", "--reps", "1",
+                      "--csv", str(csv_path)])
         assert res.exit_code == 0, res.output
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("alphabet_size,multiset_size")
         assert len(lines) == 2
 
-    def test_bench_json_csv(self, runner, tmp_path):
+    def test_bench_json_csv(self, tmp_path):
         src = tmp_path / "r.json"
         src.write_text(json.dumps([{"k": str(i)} for i in range(16)]))
         csv_path = tmp_path / "rows.csv"
-        res = runner.invoke(main, ["bench-json", str(src), "--csv", str(csv_path)])
+        res = invoke(["bench-json", str(src), "--csv", str(csv_path)])
         assert res.exit_code == 0, res.output
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("records,pairs")
         assert len(lines) >= 2
 
-    def test_infeasible_bench_config_errors(self, runner):
-        res = runner.invoke(main, ["bench-synthetic", "--unique", "64",
-                                   "--sizes", "32", "--alphabets", "128"])
+    def test_infeasible_bench_config_errors(self):
+        res = invoke(["bench-synthetic", "--unique", "64",
+                      "--sizes", "32", "--alphabets", "128"])
         assert res.exit_code != 0
 
     @pytest.mark.parametrize("args, code, fragment", [
@@ -414,11 +434,11 @@ class TestBenchCommands:
         (["bench-synthetic", "--sizes", "1,x"], 2, "comma-separated list"),
     ], ids=["json-reps-0", "prefix-0", "prefix-negative", "prefix-past-end",
             "prefixes-empty", "sizes-empty", "alphabets-empty", "sizes-not-integer"])
-    def test_empty_or_wrong_sweeps_are_errors(self, runner, tmp_path, monkeypatch,
+    def test_empty_or_wrong_sweeps_are_errors(self, tmp_path, monkeypatch,
                                               args, code, fragment):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "r.json").write_text(json.dumps([{"k": str(i)} for i in range(20)]))
-        res = runner.invoke(main, args)
+        res = invoke(args)
         assert res.exit_code == code
         assert fragment in res.output
         assert "records," not in res.output and "alphabet_size," not in res.output
@@ -463,48 +483,48 @@ NESTED_BYTE_KEYS_JSON = ('[{},{"a":"1","b":"x"},{"a":"1","b":"x"},'
 class TestGoldenBytes:
     """Pinned container digests: any change to the bits written fails here."""
 
-    def test_byte_key_container_decompresses(self, runner, tmp_path):
+    def test_byte_key_container_decompresses(self, tmp_path):
         box = tmp_path / "keys.msz"
         box.write_bytes(bytes.fromhex(NESTED_BYTE_KEYS_HEX))
         assert hashlib.sha256(box.read_bytes()).hexdigest() == GOLDEN_NESTED[1]
-        res = runner.invoke(main, ["decompress", str(box), "-o", str(tmp_path / "out")])
+        res = invoke(["decompress", str(box), "-o", str(tmp_path / "out")])
         assert res.exit_code == 0, res.output
         assert (tmp_path / "out" / "records.json").read_text() == NESTED_BYTE_KEYS_JSON
 
-    def test_version_1_container_is_refused(self, runner, tmp_path):
+    def test_version_1_container_is_refused(self, tmp_path):
         box = tmp_path / "old.msz"
         box.write_bytes(bytes.fromhex(NESTED_BYTE_KEYS_V1_HEX))
-        res = runner.invoke(main, ["decompress", str(box), "-o", str(tmp_path / "out")])
+        res = invoke(["decompress", str(box), "-o", str(tmp_path / "out")])
         assert res.exit_code == 1
         assert ("container version 1 is not supported; this reader reads version 2"
                 in res.output)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_FLAT))
-    def test_flat(self, runner, tmp_path, name):
+    def test_flat(self, tmp_path, name):
         contents, opts, digest = GOLDEN_FLAT[name]
         paths = make_inputs(tmp_path, contents)
         box = tmp_path / "out.msz"
-        res = runner.invoke(main, ["compress", *map(str, paths), "-o", str(box), *opts])
+        res = invoke(["compress", *map(str, paths), "-o", str(box), *opts])
         assert res.exit_code == 0, res.output
         assert hashlib.sha256(box.read_bytes()).hexdigest() == digest
 
     @staticmethod
-    def nested_digest(runner, tmp_path, doc):
+    def nested_digest(tmp_path, doc):
         src = tmp_path / "records.json"
         src.write_bytes(doc)
         box = tmp_path / "out.msz"
-        res = runner.invoke(main, ["compress", str(src), "-o", str(box), "--nested"])
+        res = invoke(["compress", str(src), "-o", str(box), "--nested"])
         assert res.exit_code == 0, res.output
         return hashlib.sha256(box.read_bytes()).hexdigest()
 
-    def test_nested(self, runner, tmp_path):
+    def test_nested(self, tmp_path):
         doc, digest = GOLDEN_NESTED
-        assert self.nested_digest(runner, tmp_path, doc) == digest
+        assert self.nested_digest(tmp_path, doc) == digest
 
-    def test_nested_hex_values(self, runner, tmp_path):
+    def test_nested_hex_values(self, tmp_path):
         doc, digest = GOLDEN_NESTED_HEX
-        assert self.nested_digest(runner, tmp_path, doc) == digest
+        assert self.nested_digest(tmp_path, doc) == digest
 
 
 class TestNumpyIsOptional:
@@ -527,13 +547,12 @@ class TestNumpyIsOptional:
          "records,pairs,repetition,compressed_bits,sequence_bits,savings_bits,"
          "bound_bits,savings_ratio,encode_s,decode_s"),
     ], ids=["bench-synthetic", "bench-json"])
-    def test_bench_runs_without_numpy(self, runner, tmp_path, monkeypatch, args,
-                                      header):
+    def test_bench_runs_without_numpy(self, tmp_path, monkeypatch, args, header):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "r.json").write_text(json.dumps([{"k": str(i)} for i in range(9)]))
         monkeypatch.setitem(sys.modules, "numpy", None)
         monkeypatch.delitem(sys.modules, "mszip.bench", raising=False)
         monkeypatch.delattr(mszip, "bench", raising=False)
-        res = runner.invoke(main, args)
+        res = invoke(args)
         assert res.exit_code == 0, res.output
         assert res.output.splitlines()[0] == header

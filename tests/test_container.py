@@ -181,8 +181,10 @@ class TestPackUnpack:
         ("size", 2.0, "size must be an integer, got float"),
         ("codec_blob", "\x0f", "codec_blob must be bytes, got str"),
         ("state", "\x00", "state must be bytes, got str"),
+        ("inner_sizes", ("a",), "inner_sizes must hold integers, got str"),
+        ("inner_sizes", 5, "inner_sizes must be a tuple or list, got int"),
     ], ids=["codec-id-300", "codec-id-negative", "codec-id-str", "size-float",
-            "blob-str", "state-str"])
+            "blob-str", "state-str", "inner-sizes-str", "inner-sizes-int"])
     def test_pack_names_a_bad_field(self, field, value, fragment):
         cid, blob = codec_blob(ByteStringCodec(15))
         c = Container(kind=KIND_FLAT, codec_id=cid, codec_blob=blob, size=0,

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and importing
-the package leaves out ``dataclasses`` and ``inspect``, which none uses."""
+the package or its CLI leaves out ``dataclasses``, ``inspect`` and ``click``,
+which none uses."""
 
 import ast
 import os
@@ -36,11 +37,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def test_import_leaves_dataclasses_and_inspect_out():
+@pytest.mark.parametrize("module", ["mszip", "mszip.cli"])
+def test_import_leaves_dataclasses_and_inspect_out(module):
     """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
-    which a fresh ``import mszip`` would load for no caller."""
-    code = ("import sys; bare = set(sys.modules); import mszip; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+    and ``click`` pulls in ``inspect``, which a fresh import would load for
+    no caller."""
+    code = (f"import sys; bare = set(sys.modules); import {module}; print(sorted("
+            "{'dataclasses', 'inspect', 'click'} & (set(sys.modules) - bare)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
     assert out.returncode == 0, out.stderr

@@ -263,6 +263,10 @@ class TestUniformCodec:
             UniformCodec(4).encode(state_new(), 4)
         with pytest.raises(ContractError, match="size must be an integer, got float"):
             UniformCodec(4.0)
+        for sym, kind in ((1.5, "float"), ("1", "str")):
+            with pytest.raises(ContractError,
+                               match=f"symbol must be an integer, got {kind}"):
+                UniformCodec(4).encode(state_new(), sym)
 
 
 class TestByteStringCodec:
