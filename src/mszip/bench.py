@@ -37,7 +37,7 @@ from statistics import median
 from .ans import fractional_bits, length_bits, state_new
 from .cli import pair_codec, pair_counts
 from .errors import ContractError
-from .mscodec import encode_sequence, info_content, sample_decode, sample_encode
+from .mscodec import decode_multiset, encode_sequence, info_content, sample_encode
 from .multiset import FreqTree, Multiset, build_balanced
 from .nested import NestedMultiset, decode_nested, encode_nested, \
     ingest_json_records, nested_savings_bound, sequence_state
@@ -101,8 +101,7 @@ def _round_trip(m: Multiset, codec):
         etree = build_balanced(m)
         state = sample_encode(state_new(), etree, codec)
         t1 = time.thread_time()
-        sample_decode(state, m.total, codec, dtree)
-        out = dtree.to_multiset()
+        out = decode_multiset(state, m.total, codec, dtree)
         t2 = time.thread_time()
     if out != m:
         raise RuntimeError("round-trip mismatch in benchmark")

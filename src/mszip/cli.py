@@ -27,27 +27,8 @@ from .varint import encode_uvarint
 
 
 class UsageError(Exception):
-    """A command line that the parser or a command refuses: exit code 2.
-    ``parser`` is the parser that refused it, when one did."""
-
-    parser = None
-
-
-class _HelpShown(Exception):
-    """``--help`` printed the help: exit code 0."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises where ``argparse`` would end the process, so that in-process
-    callers see every outcome."""
-
-    def error(self, message):
-        e = UsageError(message)
-        e.parser = self
-        raise e
-
-    def exit(self, status=0, message=None):  # only --help gets here
-        raise _HelpShown
+    """A command line that a command refuses: ``main`` reports it through
+    that command's parser, which exits with code 2."""
 
 
 def _file(arg: str) -> Path:
@@ -63,11 +44,7 @@ def _file(arg: str) -> Path:
 
 def _directory(arg: str) -> Path:
     """An argument that names a directory, or nothing yet."""
-    try:
-        st = os.stat(arg)
-    except OSError:
-        return Path(arg)
-    if stat.S_ISREG(st.st_mode):
+    if os.path.isfile(arg):
         raise argparse.ArgumentTypeError(f"Directory {arg!r} is a file.")
     return Path(arg)
 
@@ -240,10 +217,11 @@ def bench_json(json_file, reps, prefixes, csv_path):
         print(f"wrote {len(rows)} rows to {csv_path}")
 
 
-def _parser() -> _Parser:
+def _parser() -> argparse.ArgumentParser:
     """The ``mszip`` parser. Each command's defaults name its function
     (``run``) and its own parser (``parser``)."""
-    parser = _Parser(prog="mszip", description="Order-invariant multiset compression.")
+    parser = argparse.ArgumentParser(prog="mszip",
+                                     description="Order-invariant multiset compression.")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
     def command(run, name):
@@ -294,26 +272,17 @@ def _parser() -> _Parser:
 def main(args=None, standalone_mode=True):
     """Run one ``mszip`` command line, ``sys.argv[1:]`` by default.
 
-    Standalone, an ``MszipError`` or ``OSError`` prints one ``Error:`` line
-    and exits with code 1, and a usage error prints the usage and exits with
-    code 2. With ``standalone_mode=False`` every error is raised, usage
-    errors as ``UsageError``, and nothing calls ``sys.exit``. ``--help``
-    returns 0 either way.
+    A usage error prints the command's usage line and ``mszip <command>:
+    error: <message>``, and exits with code 2; ``--help`` exits with code
+    0. Standalone, an ``MszipError`` or ``OSError`` prints one ``Error:``
+    line and exits with code 1; with ``standalone_mode=False`` it is raised.
     """
-    parser = _parser()
+    ns = vars(_parser().parse_args(args))
+    run, parser = ns.pop("run"), ns.pop("parser")
     try:
-        ns = vars(parser.parse_args(args))
-        run, parser = ns.pop("run"), ns.pop("parser")
         run(**ns)
-    except _HelpShown:
-        return 0
     except UsageError as e:
-        if not standalone_mode:
-            raise
-        p = e.parser or parser
-        sys.stderr.write(f"{p.format_usage()}Try '{p.prog} --help' for help.\n\n"
-                         f"Error: {e}\n")
-        sys.exit(2)
+        parser.error(str(e))
     except (MszipError, OSError) as e:
         if not standalone_mode:
             raise

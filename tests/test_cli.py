@@ -20,7 +20,7 @@ from mszip import (ByteStringCodec, Container, FormatError, Multiset, NestedMult
                    PairCodec, QuantizedCategorical, Record, codec_blob,
                    encode_multiset, ingest_json, ingest_json_records,
                    nested_savings_bound, pack, serialize, state_new, unpack)
-from mszip.cli import UsageError, ideal_bits, main, pair_codec, pair_counts
+from mszip.cli import ideal_bits, main, pair_codec, pair_counts
 from mszip.container import CODEC_BYTES, CODEC_CATEGORICAL, KIND_FLAT
 from mszip.varint import encode_uvarint
 
@@ -372,28 +372,37 @@ class TestErrorBoundary:
         (["info", "missing"], "File 'missing' does not exist."),
         (["compress", "adir", "-o", "out.msz"], "File 'adir' is a directory."),
         (["decompress", "input", "-o", "input"], "Directory 'input' is a file."),
-    ], ids=["missing-input", "directory-input", "outdir-is-a-file"])
+        # a UsageError that the command raises, reported by its own parser
+        (["compress", "input", "input", "-o", "out.msz", "--nested"],
+         "--nested takes exactly one JSON input file"),
+    ], ids=["missing-input", "directory-input", "outdir-is-a-file", "nested-two-inputs"])
     def test_bad_paths_are_usage_errors(self, tmp_path, monkeypatch, command, fragment):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "input").write_bytes(empty_container())
         (tmp_path / "adir").mkdir()
         res = invoke(command)
         assert res.exit_code == 2
-        assert "Error: " in res.output and fragment in res.output
+        assert f"usage: mszip {command[0]}" in res.output
+        assert f"mszip {command[0]}: error: " in res.output and fragment in res.output
         assert "Traceback" not in res.output
         assert not (tmp_path / "out.msz").exists()
 
     def test_in_process_calls_raise(self, tmp_path, capsys):
-        """``main.main(args, standalone_mode=False)`` raises every error, usage
-        errors as ``UsageError``, and ``--help`` returns 0."""
+        """``main.main(args, standalone_mode=False)`` raises an ``MszipError``
+        or ``OSError``; a usage error and ``--help`` end as ``argparse`` ends
+        them, in ``SystemExit`` with code 2 and 0."""
         box = tmp_path / "bad.msz"
         box.write_bytes(b"not a container")
-        with pytest.raises(UsageError, match="0<=x<=31"):
+        with pytest.raises(SystemExit) as exc:
             main.main(["compress", str(box), "-o", str(tmp_path / "c.msz"),
                        "--precision", "32"], standalone_mode=False)
+        assert exc.value.code == 2
+        assert "0<=x<=31" in capsys.readouterr().err
         with pytest.raises(FormatError, match="bad magic"):
             main.main(["info", str(box)], standalone_mode=False)
-        assert main.main(["info", "--help"], standalone_mode=False) == 0
+        with pytest.raises(SystemExit) as exc:
+            main.main(["info", "--help"], standalone_mode=False)
+        assert exc.value.code == 0
         assert "usage: mszip info" in capsys.readouterr().out
 
 
